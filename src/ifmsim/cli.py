@@ -55,34 +55,23 @@ def _theta_arg(text: str):
     return v
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return v
+def _int_arg(lo: int, hi: int | None = None, what: str | None = None):
+    """argparse type for an integer in [lo, hi); no upper limit when hi is None.
 
+    An out-of-range value is reported as `what`, or as "must be >= lo, got
+    TEXT" when `what` is None.
+    """
 
-def _steps_arg(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if v < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {text}")
-    return v
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if v < lo or (hi is not None and v >= hi):
+            raise argparse.ArgumentTypeError(what or f"must be >= {lo}, got {text}")
+        return v
 
-
-def _seed_arg(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= v < 2**64:
-        raise argparse.ArgumentTypeError("seed must be in [0, 2^64)")
-    return v
+    return parse
 
 
 def _add_common(p: argparse.ArgumentParser, *, absorption: bool = True) -> None:
@@ -194,39 +183,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate one configuration, emit one CSV row")
     _add_common(p)
-    p.add_argument("--cycles", type=_positive_int, required=True, metavar="N",
+    p.add_argument("--cycles", type=_int_arg(1), required=True, metavar="N",
                    help="number of interrogation cycles")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep-cycles", help="sweep N = 1..max at fixed absorption")
     _add_common(p)
-    p.add_argument("--cycles", type=_positive_int, default=250, metavar="N",
+    p.add_argument("--cycles", type=_int_arg(1), default=250, metavar="N",
                    help="maximum cycle count (default: 250)")
     p.set_defaults(func=_cmd_sweep_cycles)
 
     p = sub.add_parser("sweep-absorption", help="sweep absorption 0..1 at fixed N")
     _add_common(p, absorption=False)
-    p.add_argument("--cycles", type=_positive_int, default=10, metavar="N",
+    p.add_argument("--cycles", type=_int_arg(1), default=10, metavar="N",
                    help="cycle count (default: 10; 50 and 250 are the other standard regimes)")
-    p.add_argument("--steps", type=_steps_arg, default=101, metavar="K",
+    p.add_argument("--steps", type=_int_arg(2), default=101, metavar="K",
                    help="number of absorption grid points including both endpoints (default: 101)")
     p.set_defaults(func=_cmd_sweep_absorption)
 
     p = sub.add_parser("grid", help="full absorption x cycles grid for heatmaps")
     _add_common(p, absorption=False)
-    p.add_argument("--cycles", type=_positive_int, default=250, metavar="N",
+    p.add_argument("--cycles", type=_int_arg(1), default=250, metavar="N",
                    help="maximum cycle count (default: 250)")
-    p.add_argument("--steps", type=_steps_arg, default=21, metavar="K",
+    p.add_argument("--steps", type=_int_arg(2), default=21, metavar="K",
                    help="number of absorption grid points (default: 21)")
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("oracle", help="Monte Carlo cross-check of one configuration")
     _add_common(p)
-    p.add_argument("--cycles", type=_positive_int, required=True, metavar="N",
+    p.add_argument("--cycles", type=_int_arg(1), required=True, metavar="N",
                    help="number of interrogation cycles")
-    p.add_argument("--trajectories", type=_positive_int, default=100000, metavar="M",
+    p.add_argument("--trajectories", type=_int_arg(1), default=100000, metavar="M",
                    help="number of Monte Carlo trajectories (default: 100000)")
-    p.add_argument("--seed", type=_seed_arg, default=0, metavar="S",
+    p.add_argument("--seed", type=_int_arg(0, 2**64, "seed must be in [0, 2^64)"),
+                   default=0, metavar="S",
                    help="RNG seed; identical seeds reproduce output byte for byte (default: 0)")
     p.set_defaults(func=_cmd_oracle)
 

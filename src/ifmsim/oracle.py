@@ -12,6 +12,16 @@ execution order or batching.  Draw order per trajectory is fixed: each cycle
 consumes one draw for the absorption/measurement decision (the collapse model
 consumes a second draw in the cycles where the particle measures), and one
 final draw picks H versus V from the surviving amplitudes.
+
+Because a trajectory's outcome depends only on (seed, index), the kernels
+keep no amplitudes per trajectory.  All trajectories see the same operators,
+so the amplitude a survivor holds is a function of how many cycles it has
+seen (coherent) or of how many cycles have passed since its last collapse
+(collapse); it is computed once per run as a short table, and each
+trajectory carries only its key, draw counter and that table index.
+estimate() streams trajectory indices through the kernels in fixed-size
+chunks and sums their counts, so memory stays bounded however many
+trajectories are asked for.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ __all__ = [
 
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 _U64_MAX = 2**64 - 1
+_CHUNK = 1 << 16  # trajectories per kernel call; results do not depend on it
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -75,96 +86,145 @@ def trajectory_key(seed: int, index: int) -> int:
 
 
 def _uniform(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Next uniform [0, 1) draw for each stream; callers bump the counters."""
+    """Next uniform [0, 1) draw for each stream; callers bump the counters.
+
+    `counters` is one per key, or a length-1 array that every key shares.
+    """
     bits = _mix64(keys + (counters + np.uint64(1)) * _PHI)
     # top 53 bits -> exact doubles in [0, 1); never rounds up to 1.0
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def _run_coherent(keys: np.ndarray, n: int, theta: float, a: float):
-    """Trajectory outcomes for the coherent model, one per stream key.
+@dataclass(frozen=True)
+class _CoherentSchedule:
+    """What every surviving coherent trajectory shares, cycle by cycle.
 
-    Keeps a pure 3-amplitude state per trajectory: each cycle applies the
-    rotation and the absorption coupling, draws the {B, not-B} measurement
-    with Born probability |amp_B|^2, and renormalizes the surviving branch.
-    Returns (outcomes int8 array, max |norm^2 - 1| seen after renormalizing).
+    weights[j] is the Born probability of absorption in cycle j; the schedule
+    stops early at a cycle that absorbs every trajectory (weight 1.0).  p_v
+    is the final |amp_V|^2.  norm_err[j] is the largest |norm^2 - 1| of the
+    renormalized amplitude over cycles 0..j.
     """
-    m = keys.shape[0]
+
+    weights: np.ndarray
+    p_v: float
+    norm_err: np.ndarray
+
+
+def _coherent_schedule(n: int, theta: float, a: float) -> _CoherentSchedule:
     k_t = (absorption(a) @ rotator3(theta)).T
-    outcome = np.full(m, int(Basis.B), dtype=np.int8)
-    idx = np.arange(m, dtype=np.int64)
-    ctr = np.zeros(m, dtype=np.uint64)
-    amps = np.zeros((m, 3), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    max_norm_err = 0.0
-    for _ in range(n):
-        amps = amps @ k_t
-        weights = np.abs(amps) ** 2
-        u = _uniform(keys, ctr)
-        ctr += np.uint64(1)
-        alive = u >= weights[:, 2]
-        amps, keys, ctr, idx = amps[alive], keys[alive], ctr[alive], idx[alive]
-        amps[:, 2] = 0.0
-        norm = np.sqrt(np.abs(amps[:, 0]) ** 2 + np.abs(amps[:, 1]) ** 2)
-        amps /= norm[:, None]
-        if amps.shape[0]:
-            err = np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0).max()
-            max_norm_err = max(max_norm_err, float(err))
-    p_v = np.abs(amps[:, 1]) ** 2
-    u = _uniform(keys, ctr)
-    is_v = u < p_v
-    outcome[idx[is_v]] = int(Basis.V)
-    outcome[idx[~is_v]] = int(Basis.H)
-    return outcome, max_norm_err
+    amp = np.zeros((1, 3), dtype=np.complex128)
+    amp[:, 0] = 1.0
+    weights = np.ones(n)
+    norm_err = np.zeros(n)
+    p_v = 0.0
+    for j in range(n):
+        amp = amp @ k_t
+        weights[j] = (np.abs(amp) ** 2)[0, 2]
+        amp[:, 2] = 0.0
+        norm = np.sqrt(np.abs(amp[:, 0]) ** 2 + np.abs(amp[:, 1]) ** 2)
+        if weights[j] >= 1.0 or norm[0] == 0.0:
+            # no draw in [0, 1) survives this cycle; later cycles never run
+            weights[j] = 1.0
+            weights, norm_err = weights[: j + 1], norm_err[: j + 1]
+            break
+        amp /= norm[:, None]
+        norm_err[j] = np.abs((np.abs(amp) ** 2).sum(axis=1) - 1.0)[0]
+    else:
+        p_v = float((np.abs(amp[:, 1]) ** 2)[0])
+    return _CoherentSchedule(weights, p_v, np.maximum.accumulate(norm_err))
 
 
-def _run_collapse(keys: np.ndarray, n: int, theta: float, a: float):
-    """Trajectory outcomes for the collapse model, one per stream key.
+def _run_coherent(keys: np.ndarray, n: int, sched: _CoherentSchedule):
+    """Outcome counts (n_h, n_v, n_b) of the coherent model, one trajectory per key.
 
-    Amplitudes stay real: the state is rotated in the {H, V} plane each
-    cycle; with probability `a` the particle measures which arm the photon
-    is in, absorbing the V branch (outcome B) and collapsing the H branch
-    back to |H>.  Returns (outcomes, max |norm^2 - 1| seen after a cycle).
+    Every trajectory starts in |H> and sees the same unitary each cycle, so
+    all survivors of cycle j share one renormalized amplitude and have drawn
+    exactly j uniforms.  Per-trajectory state is therefore just the key:
+    cycle j keeps the keys whose draw j is >= the shared absorption weight,
+    and draw n splits the survivors into V (below p_v) and H.  Returns
+    (counts, max |norm^2 - 1| over the cycles some trajectory survived).
     """
     m = keys.shape[0]
+    counters = np.arange(n + 1, dtype=np.uint64)  # survivors share counter j
+    survived = -1
+    for j, w in enumerate(sched.weights):
+        if w > 0.0:  # a draw in [0, 1) is always >= 0
+            keys = keys[_uniform(keys, counters[j : j + 1]) >= w]
+        if not keys.shape[0]:
+            break
+        survived = j
+    is_v = _uniform(keys, counters[n:]) < sched.p_v
+    n_h, n_v = np.bincount(is_v, minlength=2)
+    err = float(sched.norm_err[survived]) if survived >= 0 else 0.0
+    return np.array([n_h, n_v, m - keys.shape[0]]), err
+
+
+@dataclass(frozen=True)
+class _CollapseTable:
+    """p_v[k] = |<V|R^k|H>|^2 and norm_err[k] = the largest |norm^2 - 1| of
+    R^i|H> for i = 0..k, for k = 0..n."""
+
+    p_v: np.ndarray
+    norm_err: np.ndarray
+
+
+def _collapse_table(n: int, theta: float) -> _CollapseTable:
     r_t = rotator2(theta).T.real  # rotation is real; real amplitudes suffice
-    outcome = np.full(m, int(Basis.B), dtype=np.int8)
-    idx = np.arange(m, dtype=np.int64)
+    amps = np.zeros((n + 1, 2), dtype=np.float64)
+    amp = np.array([[1.0, 0.0]])
+    amps[0] = amp
+    for k in range(1, n + 1):
+        amp = amp @ r_t
+        amps[k] = amp
+    norm_err = np.abs((amps**2).sum(axis=1) - 1.0)
+    return _CollapseTable(amps[:, 1] ** 2, np.maximum.accumulate(norm_err))
+
+
+def _run_collapse(keys: np.ndarray, n: int, a: float, table: _CollapseTable):
+    """Outcome counts (n_h, n_v, n_b) of the collapse model, one trajectory per key.
+
+    The state is rotated in the {H, V} plane each cycle; with probability `a`
+    the particle measures which arm the photon is in, absorbing the V branch
+    (outcome B) and collapsing the H branch back to |H>.  A survivor is
+    therefore always R^k|H>, k cycles after its last collapse (or the
+    start), so per-trajectory state is (key, counter, k): the counter stays
+    per trajectory because measuring cycles consume a second draw.  Returns
+    (counts, max |norm^2 - 1| over the amplitudes survivors held).
+    """
+    m = keys.shape[0]
     ctr = np.zeros(m, dtype=np.uint64)
-    amps = np.zeros((m, 2), dtype=np.float64)
-    amps[:, 0] = 1.0
-    max_norm_err = 0.0
+    k = np.zeros(m, dtype=np.intp)
+    k_max = 0
     for _ in range(n):
-        amps = amps @ r_t
-        u1 = _uniform(keys, ctr)
-        ctr += np.uint64(1)
-        measured = u1 < a
-        absorbed = np.zeros(amps.shape[0], dtype=bool)
-        if measured.any():
-            u2 = _uniform(keys[measured], ctr[measured])
+        k += 1
+        if a > 0.0:  # a draw in [0, 1) is never < 0: at a = 0 nothing measures
+            measured = np.flatnonzero(_uniform(keys, ctr) < a)
             ctr[measured] += np.uint64(1)
-            absorbed[measured] = u2 < amps[measured, 1] ** 2
-            collapsed = measured & ~absorbed
-            amps[collapsed, 0] = 1.0
-            amps[collapsed, 1] = 0.0
-        alive = ~absorbed
-        amps, keys, ctr, idx = amps[alive], keys[alive], ctr[alive], idx[alive]
-        if amps.shape[0]:
-            err = np.abs((amps**2).sum(axis=1) - 1.0).max()
-            max_norm_err = max(max_norm_err, float(err))
-    p_v = amps[:, 1] ** 2
-    u = _uniform(keys, ctr)
-    is_v = u < p_v
-    outcome[idx[is_v]] = int(Basis.V)
-    outcome[idx[~is_v]] = int(Basis.H)
-    return outcome, max_norm_err
+            hit = _uniform(keys[measured], ctr[measured]) < table.p_v[k[measured]]
+            k[measured[~hit]] = 0
+            if hit.any():
+                alive = np.ones(keys.shape[0], dtype=bool)
+                alive[measured[hit]] = False
+                keys, ctr, k = keys[alive], ctr[alive], k[alive]
+        ctr += np.uint64(1)
+        if not keys.shape[0]:
+            break
+        # a survivor holding k held 1..k-1 in earlier cycles, so the largest
+        # k held bounds the norm check through the table's running maximum
+        k_max = max(k_max, int(k.max()))
+    is_v = _uniform(keys, ctr) < table.p_v[k]
+    n_h, n_v = np.bincount(is_v, minlength=2)
+    return np.array([n_h, n_v, m - keys.shape[0]]), float(table.norm_err[k_max])
 
 
-def _run(cycle: CycleConfig, keys: np.ndarray):
+def _runner(cycle: CycleConfig):
+    """The trajectory kernel of `cycle`: keys -> (counts, max norm error)."""
     theta = cycle.resolved_theta()
     if cycle.model is ParticleModel.COLLAPSE:
-        return _run_collapse(keys, cycle.n, theta, cycle.a)
-    return _run_coherent(keys, cycle.n, theta, cycle.a)
+        table = _collapse_table(cycle.n, theta)
+        return lambda keys: _run_collapse(keys, cycle.n, cycle.a, table)
+    sched = _coherent_schedule(cycle.n, theta, cycle.a)
+    return lambda keys: _run_coherent(keys, cycle.n, sched)
 
 
 @dataclass(frozen=True)
@@ -203,20 +263,26 @@ class OutcomeEstimate:
 def sample_trajectory(cycle: CycleConfig, key: int) -> Basis:
     """Outcome of the single trajectory owning `key` (see trajectory_key)."""
     keys = np.array([_check_u64(key, "key")], dtype=np.uint64)
-    outcome, _ = _run(cycle, keys)
-    return Basis(int(outcome[0]))
+    counts, _ = _runner(cycle)(keys)
+    return Basis(int(np.argmax(counts)))
 
 
 def estimate(config: TrajectoryConfig) -> OutcomeEstimate:
     """Run all trajectories of `config` and aggregate outcome counts.
 
     Deterministic: a fixed (cycle, trajectories, seed) always produces the
-    identical estimate, bit for bit.
+    identical estimate, bit for bit.  Trajectories run in chunks of
+    _CHUNK consecutive indices, so memory does not grow with their number.
     """
-    keys = trajectory_keys(config.seed, config.trajectories)
-    outcome, max_norm_err = _run(config.cycle, keys)
-    counts = np.bincount(outcome, minlength=3)
+    run = _runner(config.cycle)
     m = config.trajectories
+    counts = np.zeros(3, dtype=np.int64)
+    max_norm_err = 0.0
+    for start in range(0, m, _CHUNK):
+        indices = np.arange(start, min(start + _CHUNK, m), dtype=np.uint64)
+        chunk_counts, err = run(_keys_for(config.seed, indices))
+        counts += chunk_counts
+        max_norm_err = max(max_norm_err, err)
     p_hat = counts / m
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / m)
     return OutcomeEstimate(

@@ -141,6 +141,27 @@ class TestUsageErrors:
             cli.main(argv)
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "--cycles", "0"], "must be >= 1, got 0"),
+            (["run", "--cycles", "-1"], "must be >= 1, got -1"),
+            (["run", "--cycles", "x"], "not an integer: 'x'"),
+            (["oracle", "--cycles", "5", "--trajectories", "0"], "must be >= 1, got 0"),
+            (["sweep-absorption", "--steps", "0"], "must be >= 2, got 0"),
+            (["grid", "--steps", "1"], "must be >= 2, got 1"),
+            (["grid", "--steps", "x"], "not an integer: 'x'"),
+            (["oracle", "--cycles", "5", "--seed", "-1"], "seed must be in [0, 2^64)"),
+            (["oracle", "--cycles", "5", "--seed", str(2**64)], "seed must be in [0, 2^64)"),
+            (["oracle", "--cycles", "5", "--seed", "x"], "not an integer: 'x'"),
+        ],
+    )
+    def test_bad_integer_option(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"{argv[-2]}: {message}")
+
 
 class TestEntryPoints:
     def test_python_dash_m(self, capsys):

@@ -1,6 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from ifmsim import oracle
 from ifmsim.evolution import CycleConfig, Probabilities, evolve
 from ifmsim.operators import Basis
 from ifmsim.oracle import (
@@ -16,6 +20,34 @@ from ifmsim.oracle import (
 
 def _cfg(model, a, n, theta=None):
     return CycleConfig(model=model, a=a, n=n, theta=theta)
+
+
+PINNED_SEEDS = (0, 7, 2**64 - 1)
+
+# estimate(...).counts at 20,000 trajectories for each seed of PINNED_SEEDS,
+# recorded from the per-trajectory-amplitude kernels this module replaced.
+PINNED_COUNTS = {
+    ("coherent", 0.0, 1, None): ((0, 20000, 0), (0, 20000, 0), (0, 20000, 0)),
+    ("coherent", 0.0, 10, None): ((0, 20000, 0), (0, 20000, 0), (0, 20000, 0)),
+    ("coherent", 0.0, 50, None): ((0, 20000, 0), (0, 20000, 0), (0, 20000, 0)),
+    ("coherent", 0.5, 1, None): ((0, 9938, 10062), (0, 10042, 9958), (0, 10097, 9903)),
+    ("coherent", 0.5, 10, None): ((6291, 1266, 12443), (6160, 1332, 12508), (6068, 1302, 12630)),
+    ("coherent", 0.5, 50, None): ((15190, 115, 4695), (15189, 70, 4741), (15142, 86, 4772)),
+    ("coherent", 1.0, 1, None): ((0, 0, 20000), (0, 0, 20000), (0, 0, 20000)),
+    ("coherent", 1.0, 10, None): ((15698, 0, 4302), (15599, 0, 4401), (15555, 0, 4445)),
+    ("coherent", 1.0, 50, None): ((19035, 0, 965), (19016, 0, 984), (18951, 0, 1049)),
+    ("coherent", 1.0, 3, np.pi / 2): ((0, 0, 20000), (0, 0, 20000), (0, 0, 20000)),
+    ("collapse", 0.0, 1, None): ((0, 20000, 0), (0, 20000, 0), (0, 20000, 0)),
+    ("collapse", 0.0, 10, None): ((0, 20000, 0), (0, 20000, 0), (0, 20000, 0)),
+    ("collapse", 0.0, 50, None): ((0, 20000, 0), (0, 20000, 0), (0, 20000, 0)),
+    ("collapse", 0.5, 1, None): ((0, 9938, 10062), (0, 10042, 9958), (0, 10097, 9903)),
+    ("collapse", 0.5, 10, None): ((10500, 872, 8628), (10537, 821, 8642), (10417, 833, 8750)),
+    ("collapse", 0.5, 50, None): ((17344, 42, 2614), (17257, 56, 2687), (17281, 47, 2672)),
+    ("collapse", 1.0, 1, None): ((0, 0, 20000), (0, 0, 20000), (0, 0, 20000)),
+    ("collapse", 1.0, 10, None): ((15604, 0, 4396), (15561, 0, 4439), (15510, 0, 4490)),
+    ("collapse", 1.0, 50, None): ((19020, 0, 980), (19041, 0, 959), (18983, 0, 1017)),
+    ("collapse", 1.0, 3, np.pi / 2): ((0, 0, 20000), (0, 0, 20000), (0, 0, 20000)),
+}
 
 
 class TestStreams:
@@ -107,6 +139,17 @@ class TestEstimate:
         )
         assert est.counts == (0, 0, 5000)
 
+    def test_certain_absorption_stops_without_warnings(self):
+        # a=1 and a quarter turn empty the arm-free amplitude: the coherent
+        # norm becomes 0, which must end the run rather than produce NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model in ("coherent", "collapse"):
+                est = estimate(TrajectoryConfig(
+                    cycle=_cfg(model, 1.0, 3, theta=np.pi / 2), trajectories=100))
+                assert est.counts == (0, 0, 100)
+                assert est.max_norm_error == 0.0
+
     @pytest.mark.parametrize("model", ["coherent", "collapse"])
     def test_amplitude_norms_stay_unit(self, model):
         est = estimate(
@@ -122,6 +165,47 @@ class TestEstimate:
         exact, _ = evolve(cfg)
         est = estimate(TrajectoryConfig(cycle=cfg, trajectories=100000, seed=0))
         assert np.abs(compare(est, exact)).max() <= 4.0
+
+
+class TestPinnedCounts:
+    @pytest.mark.parametrize("cell", list(PINNED_COUNTS), ids=str)
+    def test_counts_match_recorded(self, cell):
+        cycle = _cfg(*cell)
+        got = tuple(
+            estimate(TrajectoryConfig(cycle=cycle, trajectories=20000, seed=seed)).counts
+            for seed in PINNED_SEEDS
+        )
+        assert got == PINNED_COUNTS[cell]
+
+
+class TestChunking:
+    @pytest.mark.parametrize(
+        "model,a,n,theta",
+        [("coherent", 0.5, 12, None), ("collapse", 0.5, 12, None),
+         ("coherent", 0.3, 40, 2.5), ("collapse", 0.75, 40, 2.5)],
+    )
+    def test_estimate_is_chunk_invariant(self, monkeypatch, model, a, n, theta):
+        tc = TrajectoryConfig(cycle=_cfg(model, a, n, theta), trajectories=1000, seed=11)
+        results = []
+        for chunk in (1, 7, 2**16, 1000, 5000):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            results.append(estimate(tc))
+        assert all(r == results[0] for r in results[1:])
+        assert results[0].max_norm_error > 0.0  # the norm check is exercised
+
+    def test_memory_does_not_grow_with_trajectories(self):
+        def peak(trajectories):
+            tc = TrajectoryConfig(cycle=_cfg("collapse", 0.5, 5), trajectories=trajectories)
+            tracemalloc.start()
+            try:
+                estimate(tc)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200_000), peak(800_000)
+        assert large <= 1.1 * small
+        assert max(small, large) < 16 * 2**20
 
 
 class TestSampleTrajectory:
