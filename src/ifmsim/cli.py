@@ -5,7 +5,7 @@ Subcommands: ``run`` (one experiment), ``sweep-cycles`` / ``sweep-absorption``
 ``verify`` (the named invariant suite).  Output goes to stdout or, with
 ``--out``, to a file; all output is deterministic byte for byte for identical
 flags and seed.  Exit codes: 0 success, 1 verification/concordance failure,
-2 usage error.
+2 usage error or an ``--out`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -107,35 +107,19 @@ def _add_common(p: argparse.ArgumentParser, *, absorption: bool = True) -> None:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         # newline='' keeps the LF line terminators exactly as written
         with open(out, "w", newline="") as f:
             f.write(text)
+    except OSError as e:
+        sys.stderr.write(f"ifmsim: error: cannot write {out}: {e.strerror or e}\n")
+        raise SystemExit(2) from None
 
 
-def _cmd_run(args) -> int:
-    record = run_single(
-        CycleConfig(model=args.model, a=args.absorption, n=args.cycles, theta=args.theta)
-    )
-    _emit(to_csv([record]), args.out)
-    return 0
-
-
-def _cmd_sweep_cycles(args) -> int:
-    records = sweep_cycles(args.absorption, args.cycles, args.model, theta=args.theta)
-    _emit(to_csv(records), args.out)
-    return 0
-
-
-def _cmd_sweep_absorption(args) -> int:
-    records = sweep_absorption(args.cycles, args.steps, args.model, theta=args.theta)
-    _emit(to_csv(records), args.out)
-    return 0
-
-
-def _cmd_grid(args) -> int:
-    records = sweep_grid(args.cycles, args.steps, args.model, theta=args.theta)
-    _emit(to_csv(records), args.out)
+def _cmd_csv(args) -> int:
+    """The CSV subcommands; each parser sets `records`, args -> SweepRecords."""
+    _emit(to_csv(args.records(args)), args.out)
     return 0
 
 
@@ -185,13 +169,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--cycles", type=_int_arg(1), required=True, metavar="N",
                    help="number of interrogation cycles")
-    p.set_defaults(func=_cmd_run)
+    p.set_defaults(func=_cmd_csv, records=lambda args: [run_single(
+        CycleConfig(model=args.model, a=args.absorption, n=args.cycles, theta=args.theta)
+    )])
 
     p = sub.add_parser("sweep-cycles", help="sweep N = 1..max at fixed absorption")
     _add_common(p)
     p.add_argument("--cycles", type=_int_arg(1), default=250, metavar="N",
                    help="maximum cycle count (default: 250)")
-    p.set_defaults(func=_cmd_sweep_cycles)
+    p.set_defaults(func=_cmd_csv, records=lambda args: sweep_cycles(
+        args.absorption, args.cycles, args.model, theta=args.theta
+    ))
 
     p = sub.add_parser("sweep-absorption", help="sweep absorption 0..1 at fixed N")
     _add_common(p, absorption=False)
@@ -199,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cycle count (default: 10; 50 and 250 are the other standard regimes)")
     p.add_argument("--steps", type=_int_arg(2), default=101, metavar="K",
                    help="number of absorption grid points including both endpoints (default: 101)")
-    p.set_defaults(func=_cmd_sweep_absorption)
+    p.set_defaults(func=_cmd_csv, records=lambda args: sweep_absorption(
+        args.cycles, args.steps, args.model, theta=args.theta
+    ))
 
     p = sub.add_parser("grid", help="full absorption x cycles grid for heatmaps")
     _add_common(p, absorption=False)
@@ -207,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum cycle count (default: 250)")
     p.add_argument("--steps", type=_int_arg(2), default=21, metavar="K",
                    help="number of absorption grid points (default: 21)")
-    p.set_defaults(func=_cmd_grid)
+    p.set_defaults(func=_cmd_csv, records=lambda args: sweep_grid(
+        args.cycles, args.steps, args.model, theta=args.theta
+    ))
 
     p = sub.add_parser("oracle", help="Monte Carlo cross-check of one configuration")
     _add_common(p)

@@ -124,9 +124,8 @@ class CycleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "model", ParticleModel(self.model))
-        if self.n < 1 or self.n != int(self.n):
-            raise ValueError("cycle count n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
+        n = operators._check_count(self.n, 1, "cycle count n must be a positive integer")
+        object.__setattr__(self, "n", n)
         a = float(self.a)
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"absorption probability must be in [0, 1], got {self.a!r}")
@@ -167,39 +166,6 @@ def _require_density_matrix(rho) -> np.ndarray:
     return m
 
 
-def _step_coherent(rho: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """One coherent-model cycle with k = absorption(a) @ rotator3(theta).
-
-    Assumes a valid input state; callers that accept user input validate
-    first.  The explicit index juggling keeps this allocation-light: it is
-    the inner loop of every sweep.
-    """
-    survivor = rho.copy()
-    survivor[2, :] = 0.0
-    survivor[:, 2] = 0.0
-    out = k @ survivor @ k.conj().T
-    out[2, 2] += rho[2, 2]
-    # projective {B, not-B} dephasing
-    out[2, :2] = 0.0
-    out[:2, 2] = 0.0
-    return out
-
-
-def _step_collapse(rho: np.ndarray, u_nb: np.ndarray, a: float) -> np.ndarray:
-    """One collapse-model cycle with u_nb = rotator3(theta) @ projector(NOT_B).
-
-    Applies the Kraus set {M_B, sqrt(1-a) U_nb, sqrt(a) M_H U_nb,
-    sqrt(a) S U_nb} written out by entries: the last three terms act on
-    rho_u = U_nb rho U_nb^+, which lives entirely in the {H, V} block.
-    """
-    rho_u = u_nb @ rho @ u_nb.conj().T
-    out = (1.0 - a) * rho_u
-    out[0, 0] += a * rho_u[0, 0]  # M_H branch: photon found in H, particle intact
-    out[2, 2] += a * rho_u[1, 1]  # S branch: photon found in V, absorbed
-    out[2, 2] += rho[2, 2]  # M_B: already-absorbed population is frozen
-    return out
-
-
 def step_coherent(rho, theta: float, a: float) -> np.ndarray:
     """One cycle of the coherent-absorber channel on a valid density matrix.
 
@@ -210,7 +176,15 @@ def step_coherent(rho, theta: float, a: float) -> np.ndarray:
     """
     m = _require_density_matrix(rho)
     k = operators.absorption(a) @ operators.rotator3(theta)
-    return _step_coherent(m, k)
+    survivor = m.copy()
+    survivor[2, :] = 0.0
+    survivor[:, 2] = 0.0
+    out = k @ survivor @ k.conj().T
+    out[2, 2] += m[2, 2]
+    # projective {B, not-B} dephasing
+    out[2, :2] = 0.0
+    out[:2, 2] = 0.0
+    return out
 
 
 def step_collapse(rho, theta: float, a: float) -> np.ndarray:
@@ -226,7 +200,14 @@ def step_collapse(rho, theta: float, a: float) -> np.ndarray:
     if not 0.0 <= av <= 1.0:
         raise ValueError(f"absorption probability must be in [0, 1], got {a!r}")
     u_nb = operators.rotator3(theta) @ operators.projector(operators.NOT_B)
-    return _step_collapse(m, u_nb, av)
+    # Kraus set {M_B, sqrt(1-a) U_nb, sqrt(a) M_H U_nb, sqrt(a) S U_nb} by
+    # entries; the last three act on rho_u = U_nb rho U_nb^+ in the {H, V} block
+    rho_u = u_nb @ m @ u_nb.conj().T
+    out = (1.0 - av) * rho_u
+    out[0, 0] += av * rho_u[0, 0]  # M_H branch: photon found in H, particle intact
+    out[2, 2] += av * rho_u[1, 1]  # S branch: photon found in V, absorbed
+    out[2, 2] += m[2, 2]  # M_B: already-absorbed population is frozen
+    return out
 
 
 def _transfer_matrix(model: ParticleModel, theta: float, a: float) -> np.ndarray:
@@ -287,9 +268,8 @@ def closed_form_no_particle(theta: float, n: int) -> Probabilities:
     (cos^2(n theta), sin^2(n theta), 0); the accumulated angle is reduced
     modulo 2*pi before the trig evaluation.
     """
-    if n < 0 or n != int(n):
-        raise ValueError("n must be a non-negative integer")
-    phi = math.fmod(int(n) * float(theta), 2.0 * math.pi)
+    n = operators._check_count(n, 0, "n must be a non-negative integer")
+    phi = math.fmod(n * float(theta), 2.0 * math.pi)
     c, s = math.cos(phi), math.sin(phi)
     return Probabilities(c * c, s * s, 0.0)
 
@@ -300,9 +280,8 @@ def closed_form_perfect_absorber(theta: float, n: int) -> Probabilities:
     Each cycle the photon survives in |H> with probability cos^2(theta), so
     (cos^{2n}(theta), 0, 1 - cos^{2n}(theta)).
     """
-    if n < 0 or n != int(n):
-        raise ValueError("n must be a non-negative integer")
-    p_h = math.cos(float(theta)) ** (2 * int(n))
+    n = operators._check_count(n, 0, "n must be a non-negative integer")
+    p_h = math.cos(float(theta)) ** (2 * n)
     return Probabilities(p_h, 0.0, 1.0 - p_h)
 
 

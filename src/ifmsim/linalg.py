@@ -1,22 +1,16 @@
-"""Dense complex linear algebra for the 2x2 and 3x3 matrices used throughout.
+"""Validity checks for the 2x2 and 3x3 complex matrices used throughout.
 
-Matrices are complex numpy arrays of shape (2, 2) or (3, 3); state vectors are
-complex numpy arrays of length 2 or 3.  All functions are pure: inputs are
-never mutated and every result is a fresh array or scalar.
+``linalg`` holds only the two checks that density-matrix validation and the
+``verify`` suite share: Hermiticity within a tolerance and positive
+semidefiniteness.  Matrix products, adjoints and traces are plain numpy.
+Inputs are never mutated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "matmul",
-    "dagger",
-    "trace",
-    "apply",
-    "is_hermitian",
-    "is_psd",
-]
+__all__ = ["is_hermitian", "is_psd"]
 
 _ALLOWED_DIMS = (2, 3)
 
@@ -31,56 +25,6 @@ def _as_square(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def _as_vector(v) -> np.ndarray:
-    """Validate and return `v` as a finite complex vector of length 2 or 3."""
-    w = np.asarray(v, dtype=complex)
-    if w.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {w.shape}")
-    if w.shape[0] not in _ALLOWED_DIMS:
-        raise ValueError(f"supported dimensions are {_ALLOWED_DIMS}, got {w.shape[0]}")
-    if not np.isfinite(w).all():
-        raise ValueError("vector entries must be finite")
-    return w
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b.
-
-    Raises
-    ------
-    ValueError
-        If the dimensions differ or either input is not a valid square matrix.
-    """
-    ma, mb = _as_square(a), _as_square(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
-    return ma @ mb
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_square(a).conj().T.copy()
-
-
-def trace(a) -> complex:
-    """Sum of the diagonal entries, as a Python complex."""
-    return complex(np.trace(_as_square(a)))
-
-
-def apply(m, v) -> np.ndarray:
-    """Matrix-vector product m @ v.
-
-    Raises
-    ------
-    ValueError
-        If the matrix and vector dimensions differ.
-    """
-    mm, vv = _as_square(m), _as_vector(v)
-    if mm.shape[0] != vv.shape[0]:
-        raise ValueError(f"dimension mismatch: {mm.shape[0]} vs {vv.shape[0]}")
-    return mm @ vv
 
 
 def is_hermitian(a, tol: float = 1e-12) -> bool:

@@ -59,6 +59,17 @@ def _check_angle(theta: float) -> float:
     return t
 
 
+def _check_count(value, lo: int, message: str) -> int:
+    """`value` as an int >= lo; ValueError(message) otherwise, inf and NaN included."""
+    try:
+        v = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(message) from None
+    if v != value or v < lo:
+        raise ValueError(message)
+    return v
+
+
 def rotator2(theta: float) -> np.ndarray:
     """2x2 polarization rotator [[cos t, -sin t], [sin t, cos t]]."""
     t = _check_angle(theta)
@@ -95,10 +106,9 @@ def rotator_power(theta: float, n: int) -> np.ndarray:
     ``rotator2(n*theta)``.  The accumulated angle is reduced modulo 2*pi
     before the trig evaluation to keep accuracy for large n.
     """
-    if n < 0 or n != int(n):
-        raise ValueError("n must be a non-negative integer")
+    n = _check_count(n, 0, "n must be a non-negative integer")
     t = _check_angle(theta)
-    phi = math.fmod(int(n) * t, 2.0 * math.pi)
+    phi = math.fmod(n * t, 2.0 * math.pi)
     return rotator2(phi)
 
 
@@ -149,6 +159,4 @@ def projector(label) -> np.ndarray:
 
 def switching_angle(n: int) -> float:
     """The per-cycle angle pi/(2n) that maps |H> to |V> after n cycles."""
-    if n < 1 or n != int(n):
-        raise ValueError("cycle count must be a positive integer")
-    return math.pi / (2.0 * int(n))
+    return math.pi / (2.0 * _check_count(n, 1, "cycle count must be a positive integer"))

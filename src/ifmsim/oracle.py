@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import CycleConfig, ParticleModel, Probabilities
-from .operators import Basis, rotator2, rotator3, absorption
+from .operators import Basis, _check_count, absorption, rotator2, rotator3
 
 __all__ = [
     "TrajectoryConfig",
@@ -73,8 +73,7 @@ def _keys_for(seed: int, indices: np.ndarray) -> np.ndarray:
 def trajectory_keys(seed: int, count: int) -> np.ndarray:
     """Stream keys for trajectories 0..count-1 of `seed`, as a uint64 array."""
     seed = _check_u64(seed, "seed")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _check_count(count, 1, "count must be >= 1")
     return _keys_for(seed, np.arange(count, dtype=np.uint64))
 
 
@@ -236,9 +235,8 @@ class TrajectoryConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trajectories < 1 or self.trajectories != int(self.trajectories):
-            raise ValueError("trajectories must be a positive integer")
-        object.__setattr__(self, "trajectories", int(self.trajectories))
+        m = _check_count(self.trajectories, 1, "trajectories must be a positive integer")
+        object.__setattr__(self, "trajectories", m)
         object.__setattr__(self, "seed", _check_u64(self.seed, "seed"))
 
 

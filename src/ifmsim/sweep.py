@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import CycleConfig, evolve
+from .operators import _check_count
 
 __all__ = [
     "SweepRecord",
@@ -69,23 +70,30 @@ def run_single(config: CycleConfig) -> SweepRecord:
     )
 
 
+def _records(a_values, n_values, model, theta) -> list[SweepRecord]:
+    """One record per (a, n), absorption outer and cycles inner."""
+    return [
+        run_single(CycleConfig(model=model, a=a, n=n, theta=theta))
+        for a in a_values
+        for n in n_values
+    ]
+
+
+def _cycle_counts(n_max) -> range:
+    return range(1, _check_count(n_max, 1, "n_max must be >= 1") + 1)
+
+
+def _absorption_grid(steps) -> list[float]:
+    steps = _check_count(steps, 2, "steps must be >= 2")
+    return [i / (steps - 1) for i in range(steps)]
+
+
 def sweep_cycles(a, n_max, model, theta=None) -> list[SweepRecord]:
     """Records for N = 1..n_max at fixed absorption.
 
     With theta=None each row uses its own switching angle pi/(2N).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return [
-        run_single(CycleConfig(model=model, a=a, n=n, theta=theta))
-        for n in range(1, int(n_max) + 1)
-    ]
-
-
-def _absorption_grid(steps: int) -> list[float]:
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    return [i / (int(steps) - 1) for i in range(int(steps))]
+    return _records([a], _cycle_counts(n_max), model, theta)
 
 
 def sweep_absorption(n, steps, model, theta=None) -> list[SweepRecord]:
@@ -93,21 +101,12 @@ def sweep_absorption(n, steps, model, theta=None) -> list[SweepRecord]:
 
     Endpoints 0 and 1 are always included exactly.
     """
-    return [
-        run_single(CycleConfig(model=model, a=a, n=n, theta=theta))
-        for a in _absorption_grid(steps)
-    ]
+    return _records(_absorption_grid(steps), [n], model, theta)
 
 
 def sweep_grid(n_max, a_steps, model, theta=None) -> list[SweepRecord]:
     """The full Cartesian product: absorption outer, cycles inner, both ascending."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return [
-        run_single(CycleConfig(model=model, a=a, n=n, theta=theta))
-        for a in _absorption_grid(a_steps)
-        for n in range(1, int(n_max) + 1)
-    ]
+    return _records(_absorption_grid(a_steps), _cycle_counts(n_max), model, theta)
 
 
 def format_real(x: float) -> str:

@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-
-def random_density_matrix(rng) -> np.ndarray:
-    """A random valid 3x3 density matrix: G G^+ normalized to unit trace."""
-    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+from ifmsim.verify import _random_state
 
 
 @pytest.fixture
 def make_state():
-    """Factory for random valid states; each test gets its own seeded stream."""
+    """Factory for random valid states (G G^+ at unit trace); each test gets its own seeded stream."""
     rng = np.random.default_rng(987654321)
-    return lambda: random_density_matrix(rng)
+    return lambda: _random_state(rng)

@@ -25,12 +25,7 @@ from ifmsim.evolution import (
 from ifmsim.operators import rotator2, rotator_eigen, rotator_power, switching_angle
 from ifmsim.oracle import TrajectoryConfig, compare, estimate
 from ifmsim.sweep import sweep_absorption
-
-
-def _random_density_matrix(rng):
-    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+from ifmsim.verify import _random_state as _random_density_matrix
 
 
 def _report(capsys, num, passed, detail):

@@ -1,0 +1,97 @@
+import math
+import re
+
+import pytest
+
+import ifmsim
+from ifmsim.evolution import CycleConfig, closed_form_no_particle, closed_form_perfect_absorber
+from ifmsim.operators import rotator_power, switching_angle
+from ifmsim.oracle import TrajectoryConfig, trajectory_keys
+from ifmsim.sweep import sweep_absorption, sweep_cycles, sweep_grid
+
+PUBLIC_NAMES = [
+    "Basis",
+    "CSV_HEADER",
+    "CheckResult",
+    "CycleConfig",
+    "EigenDecomposition",
+    "NOT_B",
+    "OutcomeEstimate",
+    "ParticleModel",
+    "Probabilities",
+    "SweepRecord",
+    "TrajectoryConfig",
+    "__version__",
+    "absorption",
+    "closed_form_no_particle",
+    "closed_form_perfect_absorber",
+    "compare",
+    "estimate",
+    "evolve",
+    "format_real",
+    "initial_state",
+    "kraus_operators",
+    "probabilities",
+    "projector",
+    "render_report",
+    "rotator2",
+    "rotator3",
+    "rotator_eigen",
+    "rotator_power",
+    "run_checks",
+    "run_single",
+    "sample_trajectory",
+    "step_coherent",
+    "step_collapse",
+    "sweep_absorption",
+    "sweep_cycles",
+    "sweep_grid",
+    "switching_angle",
+    "to_csv",
+    "trajectory_key",
+    "trajectory_keys",
+    "write_csv",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(ifmsim.__all__) == PUBLIC_NAMES
+    assert all(hasattr(ifmsim, name) for name in PUBLIC_NAMES)
+
+
+_CYCLE = CycleConfig(model="coherent", a=0.5, n=3)
+
+# (entry point taking the count, the message it reports for a bad count)
+COUNT_SITES = {
+    "CycleConfig.n": (
+        lambda v: CycleConfig(model="coherent", a=0.5, n=v),
+        "cycle count n must be a positive integer",
+    ),
+    "TrajectoryConfig.trajectories": (
+        lambda v: TrajectoryConfig(cycle=_CYCLE, trajectories=v),
+        "trajectories must be a positive integer",
+    ),
+    "trajectory_keys.count": (lambda v: trajectory_keys(0, v), "count must be >= 1"),
+    "closed_form_no_particle.n": (
+        lambda v: closed_form_no_particle(0.3, v),
+        "n must be a non-negative integer",
+    ),
+    "closed_form_perfect_absorber.n": (
+        lambda v: closed_form_perfect_absorber(0.3, v),
+        "n must be a non-negative integer",
+    ),
+    "rotator_power.n": (lambda v: rotator_power(0.3, v), "n must be a non-negative integer"),
+    "switching_angle.n": (lambda v: switching_angle(v), "cycle count must be a positive integer"),
+    "sweep_cycles.n_max": (lambda v: sweep_cycles(0.5, v, "coherent"), "n_max must be >= 1"),
+    "sweep_grid.n_max": (lambda v: sweep_grid(v, 3, "coherent"), "n_max must be >= 1"),
+    "sweep_absorption.steps": (lambda v: sweep_absorption(3, v, "coherent"), "steps must be >= 2"),
+    "sweep_grid.steps": (lambda v: sweep_grid(3, v, "coherent"), "steps must be >= 2"),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, math.inf, math.nan], ids=["2.5", "inf", "nan"])
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_non_integer_count_raises_value_error(site, value):
+    call, message = COUNT_SITES[site]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(value)

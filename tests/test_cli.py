@@ -134,6 +134,7 @@ class TestUsageErrors:
             ["sweep-absorption", "--steps", "1"],
             ["oracle", "--cycles", "5", "--seed", "-1"],
             ["oracle", "--cycles", "5", "--trajectories", "0"],
+            ["run", "--cycles", "3", "--out", "/nonexistent/x.csv"],
         ],
     )
     def test_exit_code_two(self, capsys, argv):

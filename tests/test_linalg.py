@@ -1,120 +1,9 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from ifmsim import linalg
 from ifmsim.evolution import CycleConfig, ParticleModel, evolve
-from ifmsim.operators import NOT_B, Basis, projector, rotator2
-
-
-def _random_matrices(count, dim=3, seed=1):
-    # entries stay inside the complex unit disk
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        yield (
-            rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
-        ) / 2.0
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9, dtype=complex).reshape(3, 3)
-        assert np.array_equal(linalg.matmul(np.eye(3), m), m)
-
-    def test_rotation_angle_addition(self):
-        quarter = rotator2(np.pi / 4)
-        assert_allclose(
-            linalg.matmul(quarter, quarter),
-            np.array([[0, -1], [1, 0]], dtype=complex),
-            atol=1e-15,
-        )
-
-    def test_orthogonal_projectors_annihilate(self):
-        out = linalg.matmul(projector(Basis.B), projector(NOT_B))
-        assert np.array_equal(out, np.zeros((3, 3)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            linalg.matmul(np.eye(2), np.eye(3))
-
-    @pytest.mark.parametrize("dim", [1, 4])
-    def test_unsupported_dimension(self, dim):
-        with pytest.raises(ValueError, match="dimensions"):
-            linalg.matmul(np.eye(dim), np.eye(dim))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            linalg.matmul(np.ones((2, 3)), np.ones((3, 2)))
-
-    def test_rejects_nonfinite(self):
-        bad = np.eye(3, dtype=complex)
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            linalg.matmul(bad, np.eye(3))
-
-    def test_associativity(self):
-        mats = list(_random_matrices(30))
-        for a, b, c in zip(mats[::3], mats[1::3], mats[2::3]):
-            left = linalg.matmul(linalg.matmul(a, b), c)
-            right = linalg.matmul(a, linalg.matmul(b, c))
-            assert np.abs(left - right).max() <= 1e-13
-
-    def test_trace_cyclicity(self):
-        mats = list(_random_matrices(20, seed=2))
-        for a, b in zip(mats[::2], mats[1::2]):
-            tab = linalg.trace(linalg.matmul(a, b))
-            tba = linalg.trace(linalg.matmul(b, a))
-            assert abs(tab - tba) <= 1e-13
-
-
-class TestDagger:
-    def test_identity(self):
-        assert np.array_equal(linalg.dagger(np.eye(3)), np.eye(3))
-
-    def test_rotator_dagger_is_negative_angle(self):
-        assert np.array_equal(linalg.dagger(rotator2(0.7)), rotator2(-0.7))
-
-    def test_involution(self):
-        m = next(iter(_random_matrices(1, seed=3)))
-        assert np.array_equal(linalg.dagger(linalg.dagger(m)), m)
-
-    def test_antihomomorphism(self):
-        # not bit-exact: the two products accumulate in different orders
-        mats = list(_random_matrices(20, seed=4))
-        for a, b in zip(mats[::2], mats[1::2]):
-            left = linalg.dagger(linalg.matmul(a, b))
-            right = linalg.matmul(linalg.dagger(b), linalg.dagger(a))
-            assert np.abs(left - right).max() <= 1e-13
-
-
-class TestTrace:
-    def test_identity(self):
-        assert linalg.trace(np.eye(3)) == 3.0
-
-    def test_single_projector(self):
-        assert linalg.trace(projector(Basis.B)) == 1.0
-
-    def test_pure_state(self):
-        assert linalg.trace(np.diag([1.0, 0.0, 0.0]).astype(complex)) == 1.0
-
-
-class TestApply:
-    def test_rotator_on_h(self):
-        theta = 0.37
-        out = linalg.apply(rotator2(theta), np.array([1.0, 0.0]))
-        assert_allclose(out, [np.cos(theta), np.sin(theta)], atol=1e-15)
-
-    def test_identity(self):
-        v = np.array([0.3, 0.4j, 0.5])
-        assert np.array_equal(linalg.apply(np.eye(3), v), v)
-
-    def test_projector_annihilates_other_state(self):
-        ket_v = np.array([0.0, 1.0, 0.0])
-        assert np.array_equal(linalg.apply(projector(Basis.B), ket_v), np.zeros(3))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            linalg.apply(np.eye(3), np.array([1.0, 0.0]))
+from ifmsim.operators import rotator2
 
 
 class TestIsHermitian:
@@ -132,6 +21,21 @@ class TestIsHermitian:
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError, match="tol"):
             linalg.is_hermitian(np.eye(3), 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_unsupported_dimension(self, dim):
+        with pytest.raises(ValueError, match="dimensions"):
+            linalg.is_hermitian(np.eye(dim))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            linalg.is_hermitian(np.ones((2, 3)))
+
+    def test_rejects_nonfinite(self):
+        bad = np.eye(3, dtype=complex)
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            linalg.is_hermitian(bad)
 
 
 class TestIsPsd:
