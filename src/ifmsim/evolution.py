@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg, operators
+from . import operators
 
 __all__ = [
     "ParticleModel",
@@ -151,17 +151,23 @@ def initial_state() -> np.ndarray:
 
 
 def _require_density_matrix(rho) -> np.ndarray:
-    """Validate rho as a 3x3 density matrix; return it as a complex array."""
+    """Validate rho as a 3x3 density matrix; return it as a complex array.
+
+    One pass, in order: shape, finite entries, Hermiticity within
+    HERMITICITY_TOL, unit trace within TRACE_TOL, and no eigenvalue below
+    -PSD_TOL (the checks of linalg.is_hermitian and linalg.is_psd).
+    """
     m = np.asarray(rho, dtype=complex)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 density matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("density matrix entries must be finite")
-    if not linalg.is_hermitian(m, HERMITICITY_TOL):
+    if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
         raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+    tr = m.trace()
+    if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
         raise ValueError("density matrix must have unit trace")
-    if not linalg.is_psd(m, PSD_TOL):
+    if np.linalg.eigvalsh(m).min() < -PSD_TOL:
         raise ValueError("density matrix must be positive semidefinite")
     return m
 

@@ -5,20 +5,28 @@ trajectories whose outcome statistics must average to the deterministic
 density-matrix results, giving an independent statistical cross-check.
 
 Randomness is counter based.  Trajectory i of a seed owns the stream key
-mix64(seed + (i+1)*PHI); its j-th uniform draw is built from
-mix64(key + (j+1)*PHI).  Draws therefore depend only on (seed, trajectory
+mix64(seed + (i+1)*PHI); its j-th draw is the 53-bit integer
+d = mix64(key + (j+1)*PHI) >> 11, which stands for the uniform
+u = d * 2**-53 in [0, 1).  Draws therefore depend only on (seed, trajectory
 index, draw index), so estimates are reproducible bit for bit regardless of
 execution order or batching.  Draw order per trajectory is fixed: each cycle
 consumes one draw for the absorption/measurement decision (the collapse model
 consumes a second draw in the cycles where the particle measures), and one
 final draw picks H versus V from the surviving amplitudes.
 
+Draws are never converted to floats.  A probability p is turned once per
+run into the integer cut ceil(p * 2**53), and d < cut holds exactly when
+u < p (d >= cut exactly when u >= p), so the integer comparison gives the
+uniform comparison's outcome bit for bit with no rounding.
+
 Because a trajectory's outcome depends only on (seed, index), the kernels
 keep no amplitudes per trajectory.  All trajectories see the same operators,
 so the amplitude a survivor holds is a function of how many cycles it has
 seen (coherent) or of how many cycles have passed since its last collapse
-(collapse); it is computed once per run as a short table, and each
-trajectory carries only its key, draw counter and that table index.
+(collapse); it is computed once per run as a short table.  A coherent
+trajectory carries only its key; a collapse trajectory carries its stream
+position (key and draw counter in one word, key + (j+1)*PHI for its next
+draw j) and that table index.
 estimate() streams trajectory indices through the kernels in fixed-size
 chunks and sums their counts, so memory stays bounded however many
 trajectories are asked for.
@@ -49,19 +57,23 @@ _CHUNK = 1 << 16  # trajectories per kernel call; results do not depend on it
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer: a bijective scramble of 64-bit words."""
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(0xBF58476D1CE4E5B9)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(0x94D049BB133111EB)
-    x = x ^ (x >> np.uint64(31))
+    """SplitMix64 finalizer, in place: a bijective scramble of 64-bit words."""
+    t = x >> np.uint64(30)
+    x ^= t
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(x, np.uint64(27), out=t)
+    x ^= t
+    x *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(x, np.uint64(31), out=t)
+    x ^= t
     return x
 
 
 def _check_u64(value: int, name: str) -> int:
-    v = int(value)
-    if v != value or not 0 <= v <= _U64_MAX:
-        raise ValueError(f"{name} must be an integer in [0, 2^64)")
+    message = f"{name} must be an integer in [0, 2^64)"
+    v = _check_count(value, 0, message)
+    if v > _U64_MAX:
+        raise ValueError(message)
     return v
 
 
@@ -84,28 +96,40 @@ def trajectory_key(seed: int, index: int) -> int:
     return int(_keys_for(seed, np.array([index], dtype=np.uint64))[0])
 
 
-def _uniform(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Next uniform [0, 1) draw for each stream; callers bump the counters.
+def _draw53(positions: np.ndarray) -> np.ndarray:
+    """The draws at stream positions key + (j+1)*PHI, as 53-bit integers.
 
-    `counters` is one per key, or a length-1 array that every key shares.
+    Mixes `positions` in place into mix64(position) >> 11 and returns it.
+    A draw d stands for the uniform d * 2**-53 in [0, 1); compare it with
+    _cut(p), never with p itself.
     """
-    bits = _mix64(keys + (counters + np.uint64(1)) * _PHI)
-    # top 53 bits -> exact doubles in [0, 1); never rounds up to 1.0
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    x = _mix64(positions)
+    x >>= np.uint64(11)
+    return x
+
+
+def _cut(p):
+    """ceil(p * 2**53) as uint64, for p in [0, 1] (a scalar or an array).
+
+    For a 53-bit draw d and u = d * 2**-53, u < p exactly when d < _cut(p)
+    and u >= p exactly when d >= _cut(p): scaling by 2**53 is exact, and an
+    integer is below x exactly when it is below ceil(x).
+    """
+    return np.ceil(np.asarray(p, dtype=np.float64) * 2.0**53).astype(np.uint64)
 
 
 @dataclass(frozen=True)
 class _CoherentSchedule:
     """What every surviving coherent trajectory shares, cycle by cycle.
 
-    weights[j] is the Born probability of absorption in cycle j; the schedule
-    stops early at a cycle that absorbs every trajectory (weight 1.0).  p_v
-    is the final |amp_V|^2.  norm_err[j] is the largest |norm^2 - 1| of the
-    renormalized amplitude over cycles 0..j.
+    cuts[j] is _cut of the Born probability of absorption in cycle j; the
+    schedule stops early at a cycle that absorbs every trajectory (weight
+    1.0, cut 2**53).  cut_v is _cut of the final |amp_V|^2.  norm_err[j] is
+    the largest |norm^2 - 1| of the renormalized amplitude over cycles 0..j.
     """
 
-    weights: np.ndarray
-    p_v: float
+    cuts: np.ndarray
+    cut_v: np.uint64
     norm_err: np.ndarray
 
 
@@ -130,7 +154,7 @@ def _coherent_schedule(n: int, theta: float, a: float) -> _CoherentSchedule:
         norm_err[j] = np.abs((np.abs(amp) ** 2).sum(axis=1) - 1.0)[0]
     else:
         p_v = float((np.abs(amp[:, 1]) ** 2)[0])
-    return _CoherentSchedule(weights, p_v, np.maximum.accumulate(norm_err))
+    return _CoherentSchedule(_cut(weights), _cut(p_v), np.maximum.accumulate(norm_err))
 
 
 def _run_coherent(keys: np.ndarray, n: int, sched: _CoherentSchedule):
@@ -138,32 +162,42 @@ def _run_coherent(keys: np.ndarray, n: int, sched: _CoherentSchedule):
 
     Every trajectory starts in |H> and sees the same unitary each cycle, so
     all survivors of cycle j share one renormalized amplitude and have drawn
-    exactly j uniforms.  Per-trajectory state is therefore just the key:
-    cycle j keeps the keys whose draw j is >= the shared absorption weight,
-    and draw n splits the survivors into V (below p_v) and H.  Returns
+    exactly j draws.  Per-trajectory state is therefore just the key:
+    cycle j keeps the keys whose draw j is >= the shared absorption cut,
+    and draw n splits the survivors into V (below cut_v) and H.  Returns
     (counts, max |norm^2 - 1| over the cycles some trajectory survived).
     """
     m = keys.shape[0]
-    counters = np.arange(n + 1, dtype=np.uint64)  # survivors share counter j
+    offsets = (np.arange(n + 1, dtype=np.uint64) + np.uint64(1)) * _PHI
+    buf = np.empty(m, dtype=np.uint64)  # every cycle draws into it
+    # absorbed keys stay in place, masked, until they are half of the array
+    alive = np.ones(m, dtype=bool)
+    live = m
+
+    def draws(j):
+        return _draw53(np.add(keys, offsets[j], out=buf[: keys.shape[0]]))
+
     survived = -1
-    for j, w in enumerate(sched.weights):
-        if w > 0.0:  # a draw in [0, 1) is always >= 0
-            keys = keys[_uniform(keys, counters[j : j + 1]) >= w]
-        if not keys.shape[0]:
+    for j, cut in enumerate(sched.cuts):
+        if cut:  # every draw is >= 0
+            alive &= draws(j) >= cut
+            live = int(np.count_nonzero(alive))
+            if 2 * live < keys.shape[0]:
+                keys, alive = keys[alive], alive[alive]
+        if not live:
             break
         survived = j
-    is_v = _uniform(keys, counters[n:]) < sched.p_v
-    n_h, n_v = np.bincount(is_v, minlength=2)
+    n_v = np.count_nonzero((draws(n) < sched.cut_v) & alive)
     err = float(sched.norm_err[survived]) if survived >= 0 else 0.0
-    return np.array([n_h, n_v, m - keys.shape[0]]), err
+    return np.array([live - n_v, n_v, m - live]), err
 
 
 @dataclass(frozen=True)
 class _CollapseTable:
-    """p_v[k] = |<V|R^k|H>|^2 and norm_err[k] = the largest |norm^2 - 1| of
-    R^i|H> for i = 0..k, for k = 0..n."""
+    """cut_v[k] = _cut(|<V|R^k|H>|^2) and norm_err[k] = the largest
+    |norm^2 - 1| of R^i|H> for i = 0..k, for k = 0..n."""
 
-    p_v: np.ndarray
+    cut_v: np.ndarray
     norm_err: np.ndarray
 
 
@@ -176,44 +210,60 @@ def _collapse_table(n: int, theta: float) -> _CollapseTable:
         amp = amp @ r_t
         amps[k] = amp
     norm_err = np.abs((amps**2).sum(axis=1) - 1.0)
-    return _CollapseTable(amps[:, 1] ** 2, np.maximum.accumulate(norm_err))
+    return _CollapseTable(_cut(amps[:, 1] ** 2), np.maximum.accumulate(norm_err))
 
 
-def _run_collapse(keys: np.ndarray, n: int, a: float, table: _CollapseTable):
+def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _CollapseTable):
     """Outcome counts (n_h, n_v, n_b) of the collapse model, one trajectory per key.
 
-    The state is rotated in the {H, V} plane each cycle; with probability `a`
-    the particle measures which arm the photon is in, absorbing the V branch
-    (outcome B) and collapsing the H branch back to |H>.  A survivor is
-    therefore always R^k|H>, k cycles after its last collapse (or the
-    start), so per-trajectory state is (key, counter, k): the counter stays
-    per trajectory because measuring cycles consume a second draw.  Returns
+    The state is rotated in the {H, V} plane each cycle; with probability a
+    (a draw below cut_a = _cut(a)) the particle measures which arm the
+    photon is in, absorbing the V branch (outcome B) and collapsing the H
+    branch back to |H>.  A survivor is therefore always R^k|H>, k cycles
+    after its last collapse (or the start), so per-trajectory state is its
+    stream position (key + (j+1)*PHI for its next draw j, per trajectory
+    because measuring cycles consume a second draw) and k.  Returns
     (counts, max |norm^2 - 1| over the amplitudes survivors held).
     """
     m = keys.shape[0]
-    ctr = np.zeros(m, dtype=np.uint64)
+    pos = keys + _PHI
     k = np.zeros(m, dtype=np.intp)
+    buf = np.empty(m, dtype=np.uint64)  # the first draw of every cycle goes here
+    # absorbed trajectories stay in place, masked, until they are half of the array
+    alive = np.ones(m, dtype=bool)
+    live = m
+    # The largest k a survivor held bounds the norm check through the table's
+    # running maximum.  A survivor's k only grows until it is measured, so
+    # that is the k before a measurement (k - 1 in the measuring cycle) or
+    # the k it ends with.
     k_max = 0
     for _ in range(n):
         k += 1
-        if a > 0.0:  # a draw in [0, 1) is never < 0: at a = 0 nothing measures
-            measured = np.flatnonzero(_uniform(keys, ctr) < a)
-            ctr[measured] += np.uint64(1)
-            hit = _uniform(keys[measured], ctr[measured]) < table.p_v[k[measured]]
+        if cut_a:  # no draw is < 0: at a = 0 nothing measures
+            first = buf[: pos.shape[0]]
+            first[:] = pos
+            measured = np.flatnonzero((_draw53(first) < cut_a) & alive)
+            second = pos[measured]
+            second += _PHI
+            pos[measured] = second  # measuring streams move one draw further
+            k_measured = k[measured]
+            hit = _draw53(second) < table.cut_v[k_measured]
+            if measured.shape[0]:
+                k_max = max(k_max, int(k_measured.max()) - 1)
             k[measured[~hit]] = 0
-            if hit.any():
-                alive = np.ones(keys.shape[0], dtype=bool)
-                alive[measured[hit]] = False
-                keys, ctr, k = keys[alive], ctr[alive], k[alive]
-        ctr += np.uint64(1)
-        if not keys.shape[0]:
+            dead = measured[hit]
+            if dead.shape[0]:
+                alive[dead] = False
+                live -= dead.shape[0]
+                if 2 * live < pos.shape[0]:
+                    pos, k, alive = pos[alive], k[alive], alive[alive]
+        pos += _PHI
+        if not live:
             break
-        # a survivor holding k held 1..k-1 in earlier cycles, so the largest
-        # k held bounds the norm check through the table's running maximum
-        k_max = max(k_max, int(k.max()))
-    is_v = _uniform(keys, ctr) < table.p_v[k]
-    n_h, n_v = np.bincount(is_v, minlength=2)
-    return np.array([n_h, n_v, m - keys.shape[0]]), float(table.norm_err[k_max])
+    if live:
+        k_max = max(k_max, int(k[alive].max()))
+    n_v = np.count_nonzero((_draw53(pos) < table.cut_v[k]) & alive)
+    return np.array([live - n_v, n_v, m - live]), float(table.norm_err[k_max])
 
 
 def _runner(cycle: CycleConfig):
@@ -221,7 +271,8 @@ def _runner(cycle: CycleConfig):
     theta = cycle.resolved_theta()
     if cycle.model is ParticleModel.COLLAPSE:
         table = _collapse_table(cycle.n, theta)
-        return lambda keys: _run_collapse(keys, cycle.n, cycle.a, table)
+        cut_a = _cut(cycle.a)
+        return lambda keys: _run_collapse(keys, cycle.n, cut_a, table)
     sched = _coherent_schedule(cycle.n, theta, cycle.a)
     return lambda keys: _run_coherent(keys, cycle.n, sched)
 

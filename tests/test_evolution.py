@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,57 @@ class TestStepCollapse:
                 step_collapse(rho, theta, 1.0) - step_coherent(rho, theta, 1.0)
             ).max()
             assert gap <= 1e-12
+
+
+def _perturbed(i, j, value, base=None):
+    rho = initial_state() if base is None else np.array(base, dtype=complex)
+    rho[i, j] = value
+    return rho
+
+
+# One input per validity check of the step kernels, in the order they run,
+# with the message each must raise; the last two fail two checks at once and
+# must report the earlier one.
+INVALID_STATES = {
+    "shape": (np.eye(2), "expected a 3x3 density matrix, got shape (2, 2)"),
+    "finite": (_perturbed(1, 1, np.nan), "density matrix entries must be finite"),
+    "hermitian": (_perturbed(0, 1, 1.5 * HERMITICITY_TOL), "density matrix must be Hermitian"),
+    "trace-real": (
+        _perturbed(0, 0, 1.0 + 2.0 * TRACE_TOL),
+        "density matrix must have unit trace",
+    ),
+    "trace-imaginary": (
+        np.diag([1.0, 0.0, 0.0]) + 0.4j * HERMITICITY_TOL * np.eye(3),
+        "density matrix must have unit trace",
+    ),
+    "psd": (
+        np.diag([1.0 + 2.0 * PSD_TOL, 0.0, -2.0 * PSD_TOL]),
+        "density matrix must be positive semidefinite",
+    ),
+    "shape-before-finite": (np.full((2, 2), np.nan), "expected a 3x3 density matrix"),
+    "hermitian-before-trace": (
+        _perturbed(0, 1, 0.5, base=2.0 * initial_state()),
+        "density matrix must be Hermitian",
+    ),
+}
+
+
+class TestStateValidation:
+    @pytest.mark.parametrize("step", [step_coherent, step_collapse], ids=["coherent", "collapse"])
+    @pytest.mark.parametrize("case", list(INVALID_STATES))
+    def test_rejects_each_invalid_input(self, step, case):
+        rho, message = INVALID_STATES[case]
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            step(rho, 0.1, 0.5)
+
+    @pytest.mark.parametrize("step", [step_coherent, step_collapse], ids=["coherent", "collapse"])
+    def test_accepts_deviations_within_tolerance(self, step):
+        for rho in (
+            _perturbed(0, 1, 0.5 * HERMITICITY_TOL),
+            np.diag([1.0 + 0.5 * PSD_TOL, 0.0, -0.5 * PSD_TOL]),
+        ):
+            out = step(rho, 0.1, 0.5)
+            assert out.shape == (3, 3)
 
 
 class TestChannelProperties:

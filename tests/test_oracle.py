@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 import warnings
 
@@ -64,6 +66,13 @@ class TestStreams:
         with pytest.raises(ValueError, match="2\\^64"):
             trajectory_keys(bad_seed, 1)
 
+    @pytest.mark.parametrize(
+        "bad_index", [math.inf, math.nan, 2.5, 2**64], ids=["inf", "nan", "2.5", "2^64"]
+    )
+    def test_rejects_bad_index(self, bad_index):
+        with pytest.raises(ValueError, match=re.escape("index must be an integer in [0, 2^64)")):
+            trajectory_key(0, bad_index)
+
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError, match=">= 1"):
             trajectory_keys(0, 0)
@@ -77,6 +86,11 @@ class TestTrajectoryConfig:
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError, match="2\\^64"):
             TrajectoryConfig(cycle=_cfg("coherent", 0.5, 3), trajectories=1, seed=-2)
+
+    @pytest.mark.parametrize("bad_seed", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_seed(self, bad_seed):
+        with pytest.raises(ValueError, match=re.escape("seed must be an integer in [0, 2^64)")):
+            TrajectoryConfig(cycle=_cfg("coherent", 0.5, 3), trajectories=1, seed=bad_seed)
 
 
 class TestEstimate:
@@ -208,6 +222,54 @@ class TestChunking:
         assert max(small, large) < 16 * 2**20
 
 
+# Weights at the edges of the 53-bit grid: 0, the smallest subnormal, one
+# grid step, both neighbours of 0.5, the largest double below 1, and 1.
+EDGE_WEIGHTS = [
+    0.0,
+    2.0**-1074,
+    2.0**-53,
+    np.nextafter(2.0**-53, 0.0),
+    np.nextafter(2.0**-53, 1.0),
+    np.nextafter(0.5, 0.0),
+    0.5,
+    np.nextafter(0.5, 1.0),
+    1.0 - 2.0**-53,
+    1.0,
+]
+
+
+class TestDrawThresholds:
+    @staticmethod
+    def _weights():
+        rng = np.random.default_rng(20240917)
+        scales = 2.0 ** -rng.integers(0, 60, size=500)
+        grid = rng.integers(0, 2**53, size=200) * 2.0**-53
+        return EDGE_WEIGHTS + list(rng.random(500) * scales) + list(grid) + list(rng.random(300))
+
+    def test_cut_matches_the_uniform_comparison(self):
+        weights = self._weights()
+        cuts = oracle._cut(np.array(weights))
+        for p, cut in zip(weights, cuts):
+            cut = int(cut)
+            assert cut == int(oracle._cut(p))  # scalar and array agree
+            for draw in range(max(cut - 3, 0), min(cut + 4, 2**53)):
+                u = draw * 2.0**-53  # exact: draw < 2**53
+                assert (draw < cut) == (u < p), (p, draw)
+                assert (draw >= cut) == (u >= p), (p, draw)
+
+    def test_extreme_cuts(self):
+        assert int(oracle._cut(0.0)) == 0  # every draw is >= 0
+        assert int(oracle._cut(2.0**-1074)) == 1  # only draw 0 is below it
+        assert int(oracle._cut(1.0)) == 2**53  # no 53-bit draw survives weight 1
+        assert oracle._cut(1.0).dtype == np.uint64
+
+    def test_draws_are_53_bit_integers(self):
+        draws = oracle._draw53(trajectory_keys(3, 10000))
+        assert draws.dtype == np.uint64
+        assert int(draws.max()) < 2**53
+        assert int(draws.max()) >= 2**52  # the top bit is used
+
+
 class TestSampleTrajectory:
     def test_returns_basis_label(self):
         out = sample_trajectory(_cfg("coherent", 0.5, 5), trajectory_key(0, 0))
@@ -216,6 +278,11 @@ class TestSampleTrajectory:
     def test_rejects_bad_key(self):
         with pytest.raises(ValueError, match="2\\^64"):
             sample_trajectory(_cfg("coherent", 0.5, 5), -1)
+
+    @pytest.mark.parametrize("bad_key", [math.inf, math.nan, 2**64], ids=["inf", "nan", "2^64"])
+    def test_rejects_non_finite_or_large_key(self, bad_key):
+        with pytest.raises(ValueError, match=re.escape("key must be an integer in [0, 2^64)")):
+            sample_trajectory(_cfg("coherent", 0.5, 5), bad_key)
 
 
 class TestCompare:
