@@ -170,7 +170,8 @@ def _run_coherent(keys: np.ndarray, n: int, sched: _CoherentSchedule):
     m = keys.shape[0]
     offsets = (np.arange(n + 1, dtype=np.uint64) + np.uint64(1)) * _PHI
     buf = np.empty(m, dtype=np.uint64)  # every cycle draws into it
-    # absorbed keys stay in place, masked, until they are half of the array
+    # absorbed keys stay in place, masked, until they are half of the array,
+    # so a cycle that absorbs a few keys does not copy all the others
     alive = np.ones(m, dtype=bool)
     live = m
 
@@ -229,7 +230,8 @@ def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _CollapseTa
     pos = keys + _PHI
     k = np.zeros(m, dtype=np.intp)
     buf = np.empty(m, dtype=np.uint64)  # the first draw of every cycle goes here
-    # absorbed trajectories stay in place, masked, until they are half of the array
+    # absorbed trajectories stay in place, masked, until they are half of
+    # the array, so a cycle that absorbs a few does not copy all the others
     alive = np.ones(m, dtype=bool)
     live = m
     # The largest k a survivor held bounds the norm check through the table's
