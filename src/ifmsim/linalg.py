@@ -3,7 +3,9 @@
 ``linalg`` holds only the two checks that density-matrix validation and the
 ``verify`` suite share: Hermiticity within a tolerance and positive
 semidefiniteness.  Matrix products, adjoints and traces are plain numpy.
-Inputs are never mutated.
+Each check takes one matrix or a stack of them, shape ``(..., d, d)``, and
+is True only when every matrix in the stack passes, so ``verify`` checks
+all of its step outputs in one call.  Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -16,36 +18,39 @@ _ALLOWED_DIMS = (2, 3)
 
 
 def _as_square(a) -> np.ndarray:
-    """Validate and return `a` as a finite complex square matrix of dim 2 or 3."""
+    """Validate and return `a` as finite complex square matrices of dim 2 or 3.
+
+    `a` is one matrix or a stack of them, shape ``(..., d, d)``.
+    """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] not in _ALLOWED_DIMS:
-        raise ValueError(f"supported dimensions are {_ALLOWED_DIMS}, got {m.shape[0]}")
+    if m.shape[-1] not in _ALLOWED_DIMS:
+        raise ValueError(f"supported dimensions are {_ALLOWED_DIMS}, got {m.shape[-1]}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
 
 def is_hermitian(a, tol: float = 1e-12) -> bool:
-    """True iff max entry-wise |a - a^dag| <= tol."""
+    """True iff max entry-wise |a - a^dag| <= tol, for every matrix of a stack."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = _as_square(a)
-    return bool(np.abs(m - m.conj().T).max() <= tol)
+    return bool((np.abs(m - m.conj().swapaxes(-1, -2)) <= tol).all())
 
 
 def is_psd(a, tol: float = 1e-10) -> bool:
     """True iff every eigenvalue of the Hermitian matrix `a` is >= -tol.
 
-    Eigenvalues come from a convergent symmetric eigensolver.  The input must
-    already be Hermitian within `tol`; feeding a non-Hermitian matrix is a
-    usage error, not a False.
+    For a stack, True iff this holds for every matrix in it.  Eigenvalues
+    come from a convergent symmetric eigensolver.  The input must already be
+    Hermitian within `tol`; feeding a non-Hermitian matrix is a usage error,
+    not a False.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = _as_square(a)
     if not is_hermitian(m, tol):
         raise ValueError("is_psd requires a Hermitian input")
-    eigenvalues = np.linalg.eigvalsh(m)
-    return bool(eigenvalues.min() >= -tol)
+    return bool((np.linalg.eigvalsh(m) >= -tol).all())

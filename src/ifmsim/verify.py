@@ -5,6 +5,10 @@ unitarity, channel trace preservation, positivity, closed-form agreement,
 model equivalence at the extremes, Monte Carlo concordance).  All sampling
 is seeded, so two runs produce byte-identical reports.
 
+The trace, positivity and absorbed-population checks share one set of step
+outputs: ``run_checks`` runs both step kernels on the same seeded samples
+once per call and hands the stacked states to those three checks.
+
 Operators and evolution steps are reached through their modules on purpose:
 replacing, say, ``operators.absorption`` with a broken variant makes the
 corresponding check fail by name, which is how the suite's own sensitivity
@@ -80,11 +84,13 @@ def _check_rotator_closed_form() -> CheckResult:
     for theta in (0.3, np.pi / 7.0, 1.0, 2.5, np.pi / 2.0):
         r1 = operators.rotator2(theta)
         acc = np.eye(2, dtype=complex)
+        products = np.empty((400, 2, 2), dtype=complex)
+        powers = np.empty_like(products)
         for n in range(1, 401):
             acc = r1 @ acc
-            power_dev = max(
-                power_dev, np.abs(operators.rotator_power(theta, n) - acc).max()
-            )
+            products[n - 1] = acc
+            powers[n - 1] = operators.rotator_power(theta, n)
+        power_dev = max(power_dev, np.abs(powers - products).max())
     recon_dev = 0.0
     for theta in np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False):
         eig = operators.rotator_eigen(theta)
@@ -117,37 +123,38 @@ def _check_kraus_completeness() -> CheckResult:
     )
 
 
-def _step_samples(count: int):
+def _step_outputs() -> tuple[np.ndarray, np.ndarray]:
+    """(rhos, outs): 200 seeded samples through both step kernels, stacked.
+
+    Each is a (400, 3, 3) stack: ``outs[2k]`` is the coherent and
+    ``outs[2k+1]`` the collapse step of sample k, ``rhos[2k] == rhos[2k+1]``.
+    """
     rng = np.random.default_rng(_RNG_SEED + 2)
-    for _ in range(count):
+    rhos = np.empty((400, 3, 3), dtype=complex)
+    outs = np.empty_like(rhos)
+    for i in range(0, 400, 2):
         theta, a = _random_params(rng)
         rho = _random_state(rng)
-        yield rho, theta, a
+        rhos[i] = rhos[i + 1] = rho
+        outs[i] = evolution.step_coherent(rho, theta, a)
+        outs[i + 1] = evolution.step_collapse(rho, theta, a)
+    return rhos, outs
 
 
-def _check_trace_preservation() -> CheckResult:
-    dev = 0.0
-    for rho, theta, a in _step_samples(200):
-        for step in (evolution.step_coherent, evolution.step_collapse):
-            out = step(rho, theta, a)
-            dev = max(dev, abs(np.trace(out) - np.trace(rho)))
+def _check_trace_preservation(rhos, outs) -> CheckResult:
+    drift = np.trace(outs, axis1=1, axis2=2) - np.trace(rhos, axis1=1, axis2=2)
+    dev = np.abs(drift).max()
     return CheckResult(
         "trace-preservation", dev <= 1e-13, f"max trace drift {dev:.3e} (tol 1e-13)"
     )
 
 
-def _check_positivity_preservation() -> CheckResult:
-    herm_dev = 0.0
-    min_eig = np.inf
-    ok = True
-    for rho, theta, a in _step_samples(200):
-        for step in (evolution.step_coherent, evolution.step_collapse):
-            out = step(rho, theta, a)
-            herm_dev = max(herm_dev, np.abs(out - out.conj().T).max())
-            ok &= linalg.is_hermitian(out, evolution.HERMITICITY_TOL)
-            eigs = np.linalg.eigvalsh(0.5 * (out + out.conj().T))
-            min_eig = min(min_eig, eigs.min())
-            ok &= linalg.is_psd(out, evolution.PSD_TOL)
+def _check_positivity_preservation(rhos, outs) -> CheckResult:
+    outs_h = outs.conj().swapaxes(1, 2)
+    herm_dev = np.abs(outs - outs_h).max()
+    ok = linalg.is_hermitian(outs, evolution.HERMITICITY_TOL)
+    min_eig = np.linalg.eigvalsh(0.5 * (outs + outs_h)).min()
+    ok &= linalg.is_psd(outs, evolution.PSD_TOL)
     return CheckResult(
         "positivity-preservation",
         bool(ok),
@@ -170,12 +177,8 @@ def _check_absorbed_fixed_point() -> CheckResult:
     )
 
 
-def _check_absorbed_monotone() -> CheckResult:
-    worst = 0.0
-    for rho, theta, a in _step_samples(200):
-        for step in (evolution.step_coherent, evolution.step_collapse):
-            out = step(rho, theta, a)
-            worst = max(worst, float(rho[2, 2].real - out[2, 2].real))
+def _check_absorbed_monotone(rhos, outs) -> CheckResult:
+    worst = max(0.0, float((rhos[:, 2, 2].real - outs[:, 2, 2].real).max()))
     return CheckResult(
         "absorbed-population-monotone",
         worst <= 1e-13,
@@ -283,22 +286,48 @@ _CHECKS = [
     ("oracle-concordance", _check_oracle_concordance),
 ]
 
+# Checks that take the shared step outputs, ``(rhos, outs)``, as arguments.
+_STEP_CHECKS = frozenset(
+    (
+        _check_trace_preservation,
+        _check_positivity_preservation,
+        _check_absorbed_monotone,
+    )
+)
+
+
+def _raised(name: str, exc: Exception) -> CheckResult:
+    return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
+
+
+def _run(name: str, fn, *args) -> CheckResult:
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return _raised(name, exc)
+
+
+def _step_check_results() -> dict[str, CheckResult]:
+    """Results of the checks in ``_STEP_CHECKS`` by name, from one set of
+    step outputs; if computing those raises, each check fails with it."""
+    shared = [(name, fn) for name, fn in _CHECKS if fn in _STEP_CHECKS]
+    try:
+        steps = _step_outputs()
+    except Exception as exc:
+        return {name: _raised(name, exc) for name, _ in shared}
+    return {name: _run(name, fn, *steps) for name, fn in shared}
+
 
 def run_checks() -> list[CheckResult]:
     """Run every named check; deterministic order and content.
 
     A check that raises counts as a failure of that check rather than
-    aborting the suite: broken inputs must yield a named FAIL line.
+    aborting the suite: broken inputs must yield a named FAIL line.  The
+    checks that share step outputs run first, so the stacked outputs are
+    freed before the rest run; nothing is kept between calls.
     """
-    results = []
-    for name, fn in _CHECKS:
-        try:
-            results.append(fn())
-        except Exception as exc:
-            results.append(
-                CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
-            )
-    return results
+    shared = _step_check_results()
+    return [shared[name] if name in shared else _run(name, fn) for name, fn in _CHECKS]
 
 
 def render_report(results) -> str:

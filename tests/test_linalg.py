@@ -58,3 +58,46 @@ class TestIsPsd:
             theta, a = rng.uniform(0, np.pi), rng.uniform(0, 1)
             assert linalg.is_psd(step_coherent(rho, theta, a), 1e-10)
             assert linalg.is_psd(step_collapse(rho, theta, a), 1e-10)
+
+
+def _stack(rng, k, dim):
+    g = rng.normal(size=(k, dim, dim)) + 1j * rng.normal(size=(k, dim, dim))
+    return g @ g.conj().swapaxes(1, 2)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_every_matrix_passes(self, dim):
+        stack = _stack(np.random.default_rng(dim), 50, dim)
+        assert linalg.is_hermitian(stack, 1e-12)
+        assert linalg.is_psd(stack, 1e-10)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_non_hermitian_matrix_gives_false(self, dim):
+        stack = _stack(np.random.default_rng(dim), 50, dim)
+        stack[17, 0, 1] += 1e-9
+        assert not linalg.is_hermitian(stack, 1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_negative_matrix_gives_false(self, dim):
+        stack = _stack(np.random.default_rng(dim), 50, dim)
+        stack[31] = -np.eye(dim)
+        assert not linalg.is_psd(stack, 1e-10)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_is_psd_requires_every_matrix_hermitian(self, dim):
+        stack = _stack(np.random.default_rng(dim), 50, dim)
+        stack[49, 1, 0] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            linalg.is_psd(stack, 1e-10)
+
+    @pytest.mark.parametrize("check", [linalg.is_hermitian, linalg.is_psd])
+    def test_unsupported_dimension(self, check):
+        with pytest.raises(ValueError, match="dimensions"):
+            check(np.broadcast_to(np.eye(4), (5, 4, 4)))
+
+    @pytest.mark.parametrize("check", [linalg.is_hermitian, linalg.is_psd])
+    @pytest.mark.parametrize("shape", [(5, 2, 3), (3,)])
+    def test_rejects_non_square(self, check, shape):
+        with pytest.raises(ValueError, match="square"):
+            check(np.ones(shape))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ifmsim.operators
-from ifmsim import verify
+from ifmsim import evolution, linalg, verify
 from ifmsim.verify import CheckResult, render_report, run_checks
 
 EXPECTED_NAMES = [
@@ -38,6 +38,21 @@ class TestRunChecks:
 
     def test_deterministic_report(self):
         assert render_report(run_checks()) == render_report(run_checks())
+
+    def test_step_kernel_calls_per_run(self, monkeypatch):
+        # 200 shared samples, 200 for model-equivalence-extremes and 20 for
+        # absorbed-state-fixed-point; the shared samples are stepped once.
+        calls = {"step_coherent": 0, "step_collapse": 0}
+        for name in calls:
+            real = getattr(evolution, name)
+
+            def counted(rho, theta, a, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(rho, theta, a)
+
+            monkeypatch.setattr(evolution, name, counted)
+        run_checks()
+        assert calls == {"step_coherent": 420, "step_collapse": 420}
 
 
 class TestRenderReport:
@@ -120,6 +135,63 @@ class TestMutationSensitivity:
         results = _by_name(run_checks())
         assert not results["trace-preservation"].passed
 
+    @staticmethod
+    def _mutate_steps(monkeypatch, mutate):
+        for name in ("step_coherent", "step_collapse"):
+            real = getattr(evolution, name)
+
+            def mutated(rho, theta, a, _real=real):
+                return mutate(_real(rho, theta, a))
+
+            monkeypatch.setattr(evolution, name, mutated)
+
+    def test_population_back_from_b_caught_by_monotonicity(self, monkeypatch):
+        # Move the absorbed population back to H: trace and positivity hold,
+        # only the absorbed population decreases.
+        def leak_back(out):
+            out = out.copy()
+            out[0, 0] += out[2, 2]
+            out[2, 2] = 0.0
+            return out
+
+        self._mutate_steps(monkeypatch, leak_back)
+        results = _by_name(run_checks())
+        assert not results["absorbed-population-monotone"].passed
+        assert results["trace-preservation"].passed
+        assert results["positivity-preservation"].passed
+
+    def test_anti_hermitian_part_caught_by_positivity(self, monkeypatch):
+        skew = np.zeros((3, 3))
+        skew[0, 1], skew[1, 0] = 1e-11, -1e-11
+
+        self._mutate_steps(monkeypatch, lambda out: out + skew)
+        results = _by_name(run_checks())
+        positivity = results["positivity-preservation"]
+        assert not positivity.passed
+        assert "max hermiticity dev 2.000e-11" in positivity.detail
+        assert results["trace-preservation"].passed
+        assert results["absorbed-population-monotone"].passed
+
+    def test_raising_step_kernel_fails_each_shared_check(self, monkeypatch):
+        def boom(rho, theta, a):
+            raise RuntimeError("kernel unavailable")
+
+        monkeypatch.setattr(evolution, "step_collapse", boom)
+        results = _by_name(run_checks())
+        for name in (
+            "trace-preservation",
+            "positivity-preservation",
+            "absorbed-population-monotone",
+        ):
+            assert not results[name].passed, name
+            assert results[name].detail == "raised RuntimeError: kernel unavailable"
+        assert results["rotator-closed-form"].passed
+
+        # Step outputs are not kept between runs, so nothing of the broken
+        # kernel reaches an unpatched run.
+        monkeypatch.undo()
+        assert all(r.passed for r in run_checks())
+
 
 class TestCheckResult:
     def test_frozen(self):
@@ -130,6 +202,36 @@ class TestCheckResult:
     def test_oracle_concordance_has_z_detail(self):
         results = _by_name(run_checks())
         assert "max |z|" in results["oracle-concordance"].detail
+
+
+class TestStackedReductions:
+    def test_shared_checks_match_per_matrix_loops(self):
+        # Reference: the per-output loops the stacked checks replaced.  The
+        # arithmetic per matrix is the same, so the figures must be equal.
+        # Every sample gains absorbed population, so the monotone detail
+        # also shows the decrease floored at 0.
+        rhos, outs = verify._step_outputs()
+        dev, herm_dev, min_eig, worst, ok = 0.0, 0.0, np.inf, 0.0, True
+        for rho, out in zip(rhos, outs):
+            dev = max(dev, abs(np.trace(out) - np.trace(rho)))
+            herm_dev = max(herm_dev, np.abs(out - out.conj().T).max())
+            ok &= linalg.is_hermitian(out, evolution.HERMITICITY_TOL)
+            eigs = np.linalg.eigvalsh(0.5 * (out + out.conj().T))
+            min_eig = min(min_eig, eigs.min())
+            ok &= linalg.is_psd(out, evolution.PSD_TOL)
+            worst = max(worst, float(rho[2, 2].real - out[2, 2].real))
+        results = _by_name(run_checks())
+        assert results["trace-preservation"].detail == (
+            f"max trace drift {dev:.3e} (tol 1e-13)"
+        )
+        assert results["positivity-preservation"].detail == (
+            f"max hermiticity dev {herm_dev:.3e} (tol 1e-12), "
+            f"min eigenvalue {min_eig:.3e} (floor -1e-10)"
+        )
+        assert results["positivity-preservation"].passed == ok
+        assert results["absorbed-population-monotone"].detail == (
+            f"max decrease {worst:.3e} (tol 1e-13)"
+        )
 
 
 class TestSeedIsolation:
