@@ -5,7 +5,8 @@ Subcommands: ``run`` (one experiment), ``sweep-cycles`` / ``sweep-absorption``
 ``verify`` (the named invariant suite).  Output goes to stdout or, with
 ``--out``, to a file; all output is deterministic byte for byte for identical
 flags and seed.  Exit codes: 0 success, 1 verification/concordance failure,
-2 usage error or an ``--out`` path that cannot be written.
+2 usage error, an ``--out`` path that cannot be written, or an input the
+evaluation rejects with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -222,4 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as e:
+        # an input the engine rejects is a usage error, reported like an unwritable --out
+        sys.stderr.write(f"ifmsim: error: {e}\n")
+        raise SystemExit(2) from None

@@ -126,9 +126,7 @@ class CycleConfig:
         object.__setattr__(self, "model", ParticleModel(self.model))
         n = operators._check_count(self.n, 1, "cycle count n must be a positive integer")
         object.__setattr__(self, "n", n)
-        a = float(self.a)
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"absorption probability must be in [0, 1], got {self.a!r}")
+        a = operators._check_probability(self.a)
         object.__setattr__(self, "a", 0.0 if self.model is ParticleModel.ABSENT else a)
         if self.theta is not None:
             t = float(self.theta)
@@ -202,9 +200,7 @@ def step_collapse(rho, theta: float, a: float) -> np.ndarray:
         If rho violates the density-matrix invariants or a is outside [0, 1].
     """
     m = _require_density_matrix(rho)
-    av = float(a)
-    if not 0.0 <= av <= 1.0:
-        raise ValueError(f"absorption probability must be in [0, 1], got {a!r}")
+    av = operators._check_probability(a)
     u_nb = operators.rotator3(theta) @ operators.projector(operators.NOT_B)
     # Kraus set {M_B, sqrt(1-a) U_nb, sqrt(a) M_H U_nb, sqrt(a) S U_nb} by
     # entries; the last three act on rho_u = U_nb rho U_nb^+ in the {H, V} block
@@ -298,12 +294,10 @@ def kraus_operators(model: ParticleModel, theta: float, a: float) -> list[np.nda
     the corresponding step function exactly.
     """
     model = ParticleModel(model)
-    a_eff = 0.0 if model is ParticleModel.ABSENT else float(a)
+    a_eff = 0.0 if model is ParticleModel.ABSENT else operators._check_probability(a)
     m_b = operators.projector(operators.Basis.B)
     m_nb = operators.projector(operators.NOT_B)
     if model is ParticleModel.COLLAPSE:
-        if not 0.0 <= a_eff <= 1.0:
-            raise ValueError(f"absorption probability must be in [0, 1], got {a!r}")
         u_nb = operators.rotator3(theta) @ m_nb
         m_h = operators.projector(operators.Basis.H)
         s = np.zeros((3, 3), dtype=complex)

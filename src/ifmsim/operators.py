@@ -59,6 +59,14 @@ def _check_angle(theta: float) -> float:
     return t
 
 
+def _check_probability(a) -> float:
+    """`a` as a float in [0, 1]; ValueError otherwise, inf and NaN included."""
+    av = float(a)
+    if not 0.0 <= av <= 1.0:
+        raise ValueError(f"absorption probability must be in [0, 1], got {a!r}")
+    return av
+
+
 def _check_count(value, lo: int, message: str) -> int:
     """`value` as an int >= lo; ValueError(message) otherwise, inf and NaN included."""
     try:
@@ -132,9 +140,7 @@ def absorption(a: float) -> np.ndarray:
     measurement in the evolution step is what prevents that return path from
     ever acting.
     """
-    av = float(a)
-    if not 0.0 <= av <= 1.0:
-        raise ValueError(f"absorption probability must be in [0, 1], got {a!r}")
+    av = _check_probability(a)
     r, q = math.sqrt(1.0 - av), math.sqrt(av)
     return np.array(
         [[1.0, 0.0, 0.0], [0.0, r, -q], [0.0, q, r]],

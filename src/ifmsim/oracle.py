@@ -23,10 +23,14 @@ Because a trajectory's outcome depends only on (seed, index), the kernels
 keep no amplitudes per trajectory.  All trajectories see the same operators,
 so the amplitude a survivor holds is a function of how many cycles it has
 seen (coherent) or of how many cycles have passed since its last collapse
-(collapse); it is computed once per run as a short table.  A coherent
-trajectory carries only its key; a collapse trajectory carries its stream
-position (key and draw counter in one word, key + (j+1)*PHI for its next
-draw j) and that table index.
+(collapse).  Every operator is real, so that amplitude is a real 2-vector
+(h, v), and one table per run holds it: cut_b[j], the cut of the absorption
+weight in cycle j; cut_v[k], the cut of v^2 after k cycles; and norm_err[k],
+the running norm check, with entry 0 the starting |H>.  The coherent model
+builds it at its own a; the collapse model at a = 0, since between
+measurements nothing absorbs.  A coherent trajectory carries only its key;
+a collapse trajectory carries its stream position (key and draw counter in
+one word, key + (j+1)*PHI for its next draw j) and its table index k.
 estimate() streams trajectory indices through the kernels in fixed-size
 chunks and sums their counts, so memory stays bounded however many
 trajectories are asked for.
@@ -34,12 +38,14 @@ trajectories are asked for.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evolution import CycleConfig, ParticleModel, Probabilities
-from .operators import Basis, _check_count, absorption, rotator2, rotator3
+from .operators import Basis, _check_count
 
 __all__ = [
     "TrajectoryConfig",
@@ -119,53 +125,58 @@ def _cut(p):
 
 
 @dataclass(frozen=True)
-class _CoherentSchedule:
-    """What every surviving coherent trajectory shares, cycle by cycle.
+class _Table:
+    """The amplitude every survivor shares, k cycles after it was last |H>.
 
-    cuts[j] is _cut of the Born probability of absorption in cycle j; the
-    schedule stops early at a cycle that absorbs every trajectory (weight
-    1.0, cut 2**53).  cut_v is _cut of the final |amp_V|^2.  norm_err[j] is
-    the largest |norm^2 - 1| of the renormalized amplitude over cycles 0..j.
+    cut_b[j] is _cut of the Born probability of absorption in cycle j; the
+    table stops early at a cycle that absorbs every survivor (weight 1.0,
+    cut 2**53).  cut_v[k] is _cut of |amp_V|^2 and norm_err[k] the largest
+    |norm^2 - 1| of the renormalized amplitudes after 0..k cycles; entry 0
+    is |H> itself, so cut_v[0] = 0 and norm_err[0] = 0.0.
     """
 
-    cuts: np.ndarray
-    cut_v: np.uint64
+    cut_b: np.ndarray
+    cut_v: np.ndarray
     norm_err: np.ndarray
 
 
-def _coherent_schedule(n: int, theta: float, a: float) -> _CoherentSchedule:
-    k_t = (absorption(a) @ rotator3(theta)).T
-    amp = np.zeros((1, 3), dtype=np.complex128)
-    amp[:, 0] = 1.0
-    weights = np.ones(n)
-    norm_err = np.zeros(n)
-    p_v = 0.0
-    for j in range(n):
-        amp = amp @ k_t
-        weights[j] = (np.abs(amp) ** 2)[0, 2]
-        amp[:, 2] = 0.0
-        norm = np.sqrt(np.abs(amp[:, 0]) ** 2 + np.abs(amp[:, 1]) ** 2)
-        if weights[j] >= 1.0 or norm[0] == 0.0:
-            # no draw in [0, 1) survives this cycle; later cycles never run
-            weights[j] = 1.0
-            weights, norm_err = weights[: j + 1], norm_err[: j + 1]
+def _table(n: int, theta: float, a: float) -> _Table:
+    """Walk the survivor amplitude (h, v) through up to n cycles at absorption a.
+
+    Each cycle rotates by theta, records the absorption weight a*v^2, keeps
+    sqrt(1-a)*v and renormalizes.  All amplitudes are real, so two floats
+    carry them.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    keep = math.sqrt(1.0 - a)
+    h, v = 1.0, 0.0
+    # packed doubles: 8 bytes an entry, where a list of floats takes ~32
+    weights, p_v, errs = array("d"), array("d", [0.0]), array("d", [0.0])
+    for _ in range(n):
+        h, v = c * h - s * v, s * h + c * v
+        w = a * v * v
+        v *= keep
+        norm = math.sqrt(h * h + v * v)
+        if w >= 1.0 or norm == 0.0:
+            weights.append(1.0)  # no draw in [0, 1) survives this cycle
             break
-        amp /= norm[:, None]
-        norm_err[j] = np.abs((np.abs(amp) ** 2).sum(axis=1) - 1.0)[0]
-    else:
-        p_v = float((np.abs(amp[:, 1]) ** 2)[0])
-    return _CoherentSchedule(_cut(weights), _cut(p_v), np.maximum.accumulate(norm_err))
+        h, v = h / norm, v / norm
+        weights.append(w)
+        p_v.append(v * v)
+        errs.append(abs(h * h + v * v - 1.0))
+    return _Table(_cut(weights), _cut(p_v), np.maximum.accumulate(errs))
 
 
-def _run_coherent(keys: np.ndarray, n: int, sched: _CoherentSchedule):
+def _run_coherent(keys: np.ndarray, n: int, table: _Table):
     """Outcome counts (n_h, n_v, n_b) of the coherent model, one trajectory per key.
 
     Every trajectory starts in |H> and sees the same unitary each cycle, so
     all survivors of cycle j share one renormalized amplitude and have drawn
     exactly j draws.  Per-trajectory state is therefore just the key:
-    cycle j keeps the keys whose draw j is >= the shared absorption cut,
-    and draw n splits the survivors into V (below cut_v) and H.  Returns
-    (counts, max |norm^2 - 1| over the cycles some trajectory survived).
+    cycle j keeps the keys whose draw j is >= table.cut_b[j], and draw n
+    splits the survivors into V (below table.cut_v[-1]) and H.  Returns
+    (counts, max |norm^2 - 1| over the amplitudes survivors held), which is
+    table.norm_err[c] when the last survivors saw c cycles.
     """
     m = keys.shape[0]
     offsets = (np.arange(n + 1, dtype=np.uint64) + np.uint64(1)) * _PHI
@@ -179,7 +190,7 @@ def _run_coherent(keys: np.ndarray, n: int, sched: _CoherentSchedule):
         return _draw53(np.add(keys, offsets[j], out=buf[: keys.shape[0]]))
 
     survived = -1
-    for j, cut in enumerate(sched.cuts):
+    for j, cut in enumerate(table.cut_b):
         if cut:  # every draw is >= 0
             alive &= draws(j) >= cut
             live = int(np.count_nonzero(alive))
@@ -188,43 +199,22 @@ def _run_coherent(keys: np.ndarray, n: int, sched: _CoherentSchedule):
         if not live:
             break
         survived = j
-    n_v = np.count_nonzero((draws(n) < sched.cut_v) & alive)
-    err = float(sched.norm_err[survived]) if survived >= 0 else 0.0
-    return np.array([live - n_v, n_v, m - live]), err
+    n_v = np.count_nonzero((draws(n) < table.cut_v[-1]) & alive)
+    return np.array([live - n_v, n_v, m - live]), float(table.norm_err[survived + 1])
 
 
-@dataclass(frozen=True)
-class _CollapseTable:
-    """cut_v[k] = _cut(|<V|R^k|H>|^2) and norm_err[k] = the largest
-    |norm^2 - 1| of R^i|H> for i = 0..k, for k = 0..n."""
-
-    cut_v: np.ndarray
-    norm_err: np.ndarray
-
-
-def _collapse_table(n: int, theta: float) -> _CollapseTable:
-    r_t = rotator2(theta).T.real  # rotation is real; real amplitudes suffice
-    amps = np.zeros((n + 1, 2), dtype=np.float64)
-    amp = np.array([[1.0, 0.0]])
-    amps[0] = amp
-    for k in range(1, n + 1):
-        amp = amp @ r_t
-        amps[k] = amp
-    norm_err = np.abs((amps**2).sum(axis=1) - 1.0)
-    return _CollapseTable(_cut(amps[:, 1] ** 2), np.maximum.accumulate(norm_err))
-
-
-def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _CollapseTable):
+def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _Table):
     """Outcome counts (n_h, n_v, n_b) of the collapse model, one trajectory per key.
 
     The state is rotated in the {H, V} plane each cycle; with probability a
     (a draw below cut_a = _cut(a)) the particle measures which arm the
     photon is in, absorbing the V branch (outcome B) and collapsing the H
     branch back to |H>.  A survivor is therefore always R^k|H>, k cycles
-    after its last collapse (or the start), so per-trajectory state is its
-    stream position (key + (j+1)*PHI for its next draw j, per trajectory
-    because measuring cycles consume a second draw) and k.  Returns
-    (counts, max |norm^2 - 1| over the amplitudes survivors held).
+    after its last collapse (or the start): entry k of the table built at
+    a = 0, since between measurements nothing absorbs.  Per-trajectory state
+    is its stream position (key + (j+1)*PHI for its next draw j, per
+    trajectory because measuring cycles consume a second draw) and k.
+    Returns (counts, max |norm^2 - 1| over the amplitudes survivors held).
     """
     m = keys.shape[0]
     pos = keys + _PHI
@@ -270,13 +260,12 @@ def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _CollapseTa
 
 def _runner(cycle: CycleConfig):
     """The trajectory kernel of `cycle`: keys -> (counts, max norm error)."""
-    theta = cycle.resolved_theta()
-    if cycle.model is ParticleModel.COLLAPSE:
-        table = _collapse_table(cycle.n, theta)
+    collapse = cycle.model is ParticleModel.COLLAPSE
+    table = _table(cycle.n, cycle.resolved_theta(), 0.0 if collapse else cycle.a)
+    if collapse:
         cut_a = _cut(cycle.a)
         return lambda keys: _run_collapse(keys, cycle.n, cut_a, table)
-    sched = _coherent_schedule(cycle.n, theta, cycle.a)
-    return lambda keys: _run_coherent(keys, cycle.n, sched)
+    return lambda keys: _run_coherent(keys, cycle.n, table)
 
 
 @dataclass(frozen=True)

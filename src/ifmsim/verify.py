@@ -178,7 +178,8 @@ def _check_absorbed_fixed_point() -> CheckResult:
 
 
 def _check_absorbed_monotone(rhos, outs) -> CheckResult:
-    worst = max(0.0, float((rhos[:, 2, 2].real - outs[:, 2, 2].real).max()))
+    # np.maximum keeps a NaN decrease, so a NaN output fails the check
+    worst = float(np.maximum(0.0, rhos[:, 2, 2].real - outs[:, 2, 2].real).max())
     return CheckResult(
         "absorbed-population-monotone",
         worst <= 1e-13,

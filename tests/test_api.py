@@ -1,11 +1,20 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import pytest
 
 import ifmsim
-from ifmsim.evolution import CycleConfig, closed_form_no_particle, closed_form_perfect_absorber
-from ifmsim.operators import rotator_power, switching_angle
+from ifmsim.evolution import (
+    CycleConfig,
+    closed_form_no_particle,
+    closed_form_perfect_absorber,
+    initial_state,
+    kraus_operators,
+    step_collapse,
+)
+from ifmsim.operators import absorption, rotator_power, switching_angle
 from ifmsim.oracle import TrajectoryConfig, trajectory_keys
 from ifmsim.sweep import sweep_absorption, sweep_cycles, sweep_grid
 
@@ -95,3 +104,42 @@ def test_non_integer_count_raises_value_error(site, value):
     call, message = COUNT_SITES[site]
     with pytest.raises(ValueError, match=re.escape(message)):
         call(value)
+
+
+# (entry point taking the absorption probability a)
+PROBABILITY_SITES = {
+    "absorption": absorption,
+    "CycleConfig.a": lambda v: CycleConfig(model="coherent", a=v, n=3),
+    "step_collapse.a": lambda v: step_collapse(initial_state(), 0.3, v),
+    "kraus_operators.a": lambda v: kraus_operators("collapse", 0.3, v),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [-0.01, 1.01, math.nan, math.inf], ids=["-0.01", "1.01", "nan", "inf"]
+)
+@pytest.mark.parametrize("site", sorted(PROBABILITY_SITES))
+def test_out_of_range_probability_raises_value_error(site, value):
+    message = f"absorption probability must be in [0, 1], got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PROBABILITY_SITES[site](value)
+
+
+def test_every_private_top_level_name_has_a_caller():
+    trees = {p.name: ast.parse(p.read_text()) for p in Path(ifmsim.__file__).parent.glob("*.py")}
+    defined, used = [], set()
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((file, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(file, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    private = [(f, n) for f, n in defined if n.startswith("_") and not n.startswith("__")]
+    assert private  # the scan sees the package
+    assert [(f, n) for f, n in private if n not in used] == []

@@ -163,6 +163,18 @@ class TestUsageErrors:
         assert err.value.code == 2
         assert capsys.readouterr().err.rstrip().endswith(f"{argv[-2]}: {message}")
 
+    def test_evaluation_value_error_is_one_line_exit_two(self, capsys, monkeypatch):
+        def rejects(cycle):
+            raise ValueError("probabilities must sum to 1, got 1.5")
+
+        monkeypatch.setattr(cli, "run_single", rejects)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["run", "--cycles", "3"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ifmsim: error: probabilities must sum to 1, got 1.5\n"
+
 
 class TestEntryPoints:
     def test_python_dash_m(self, capsys):

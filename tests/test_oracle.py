@@ -222,6 +222,48 @@ class TestChunking:
         assert max(small, large) < 16 * 2**20
 
 
+def _survivor_state(cycle):
+    """evolve's (h, v): the populations of the not-absorbed block."""
+    _, rho = evolve(cycle)
+    return rho[0, 0].real, rho[1, 1].real
+
+
+# Coherent cells of the table cross-check, leaving out those where almost
+# every trajectory is absorbed (1 - p_b < 1e-6), as at a = 1 with theta = pi/2.
+TABLE_CELLS = [
+    (a, theta, n)
+    for a in (0.0, 1e-12, 0.3, 0.5, 0.9, 1.0)
+    for theta in (None, 0.3, 2.5)
+    for n in (1, 10, 137)
+    if sum(_survivor_state(_cfg("coherent", a, n, theta))) >= 1e-6
+]
+
+
+class TestTable:
+    """The oracle's shared amplitude table against the density-matrix engine."""
+
+    @pytest.mark.parametrize("a,theta,n", TABLE_CELLS, ids=str)
+    def test_matches_evolve(self, a, theta, n):
+        cycle = _cfg("coherent", a, n, theta)
+        h, v = _survivor_state(cycle)
+        table = oracle._table(n, cycle.resolved_theta(), a)
+        assert len(table.cut_b) == n
+        assert float(table.cut_v[-1]) * 2.0**-53 == pytest.approx(v / (h + v), rel=0, abs=1e-12)
+        survival = np.prod(1.0 - table.cut_b.astype(np.float64) * 2.0**-53)
+        assert survival == pytest.approx(h + v, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
+    def test_entry_zero_is_h(self, a):
+        table = oracle._table(5, 0.3, a)
+        assert table.cut_v[0] == 0
+        assert table.norm_err[0] == 0.0
+
+    def test_stops_at_a_cycle_that_absorbs_every_survivor(self):
+        table = oracle._table(3, np.pi / 2, 1.0)
+        assert list(map(int, table.cut_b)) == [2**53]
+        assert len(table.cut_v) == len(table.norm_err) == 1
+
+
 # Weights at the edges of the 53-bit grid: 0, the smallest subnormal, one
 # grid step, both neighbours of 0.5, the largest double below 1, and 1.
 EDGE_WEIGHTS = [

@@ -160,6 +160,17 @@ class TestMutationSensitivity:
         assert results["trace-preservation"].passed
         assert results["positivity-preservation"].passed
 
+    def test_nan_absorbed_population_caught_by_monotonicity(self, monkeypatch):
+        def nan_b(out):
+            out = out.copy()
+            out[2, 2] = np.nan
+            return out
+
+        self._mutate_steps(monkeypatch, nan_b)
+        monotone = _by_name(run_checks())["absorbed-population-monotone"]
+        assert not monotone.passed
+        assert monotone.detail == "max decrease nan (tol 1e-13)"
+
     def test_anti_hermitian_part_caught_by_positivity(self, monkeypatch):
         skew = np.zeros((3, 3))
         skew[0, 1], skew[1, 0] = 1e-11, -1e-11
