@@ -40,9 +40,15 @@ is always
 with four real numbers.  One cycle of any model is then a real 4x4 linear
 map T(model, theta, a) on (h, c, v, b) -- the Liouville form of the
 per-cycle channel -- and N cycles are T**N applied to (1, 0, 0, 0), computed
-by repeated squaring in O(log N) matrix products.  The 3x3 step kernels
-``step_coherent`` / ``step_collapse`` stay as the validated reference that
-the engine is tested against.
+by repeated squaring in O(log N) matrix products.
+
+One private engine, ``_reduced``, computes those powers.  It stacks the
+maps of any number of absorptions at one (model, theta, N) and raises the
+whole stack in one ``matrix_power`` call, so a sweep pays the per-call cost
+once per cycle count rather than once per row; ``evolve`` is the one-row
+case.  A row's bits do not depend on the stack it is in.  The 3x3 step
+kernels ``step_coherent`` / ``step_collapse`` stay as the validated
+reference that the engine is tested against.
 """
 
 from __future__ import annotations
@@ -212,26 +218,43 @@ def step_collapse(rho, theta: float, a: float) -> np.ndarray:
     return out
 
 
-def _transfer_matrix(model: ParticleModel, theta: float, a: float) -> np.ndarray:
-    """One cycle as a real 4x4 map on the reduced state (h, c, v, b).
+def _reduced(model: ParticleModel, theta: float, a_values, n: int) -> np.ndarray:
+    """The reduced states (h, c, v, b) after n cycles from |H><H|, one row per a.
 
-    With u = R rho R^T the rotated {H, V} block, both models keep u_HH,
-    keep (1-a) u_VV in |V>, move a u_VV into |B> and scale the coherence
-    u_HV by q: sqrt(1-a) for the coherent absorber (an amplitude), 1-a for
-    the collapse model (a mixture of no-op and which-arm measurement).
+    One cycle is a real 4x4 map T(model, theta, a) on (h, c, v, b).  With
+    u = R rho R^T the rotated {H, V} block, both models keep u_HH, keep
+    (1-a) u_VV in |V>, move a u_VV into |B> and scale the coherence u_HV by
+    q: sqrt(1-a) for the coherent absorber (an amplitude), 1-a for the
+    collapse model (a mixture of no-op and which-arm measurement).
+
+    The maps of every absorption in `a_values` go into one (k, 4, 4) stack
+    and one matrix_power call raises them all to the n-th power; column 0 of
+    each power is T**n (1, 0, 0, 0).  matrix_power runs the same product
+    sequence on every matrix of a stack as on a single matrix, so a row does
+    not depend on the other rows of its stack.  Returns a (k, 4) array.
     """
     cos, sin = math.cos(theta), math.sin(theta)
     cc, ss, cs = cos * cos, sin * sin, cos * sin
-    keep = 1.0 - a
-    q = keep if model is ParticleModel.COLLAPSE else math.sqrt(keep)
-    return np.array(
-        [
-            [cc, -2.0 * cs, ss, 0.0],  # u_HH
-            [q * cs, q * (cc - ss), -q * cs, 0.0],  # q u_HV
-            [keep * ss, keep * 2.0 * cs, keep * cc, 0.0],  # (1-a) u_VV
-            [a * ss, a * 2.0 * cs, a * cc, 1.0],  # b + a u_VV
-        ]
-    )
+    two_cs, diff = 2.0 * cs, cc - ss
+    collapse = model is ParticleModel.COLLAPSE
+    stack = []
+    for a in a_values:
+        keep = 1.0 - a
+        q = keep if collapse else math.sqrt(keep)
+        stack.append(
+            [
+                [cc, -two_cs, ss, 0.0],  # u_HH
+                [q * cs, q * diff, -q * cs, 0.0],  # q u_HV
+                [keep * ss, keep * two_cs, keep * cc, 0.0],  # (1-a) u_VV
+                [a * ss, a * two_cs, a * cc, 1.0],  # b + a u_VV
+            ]
+        )
+    return np.linalg.matrix_power(np.array(stack), n)[:, :, 0]
+
+
+def _clamped(diagonal) -> Probabilities:
+    """(p_h, p_v, p_b) from a diagonal, with dust within _CLAMP_TOL below 0 set to 0."""
+    return Probabilities(*(0.0 if -_CLAMP_TOL <= p < 0.0 else float(p) for p in diagonal))
 
 
 def evolve(config: CycleConfig) -> tuple[Probabilities, np.ndarray]:
@@ -243,12 +266,11 @@ def evolve(config: CycleConfig) -> tuple[Probabilities, np.ndarray]:
     log n; the result agrees with iterating ``step_coherent`` /
     ``step_collapse`` n times to within floating-point rounding.
     """
-    t = _transfer_matrix(config.model, config.resolved_theta(), config.a)
-    h, c, v, b = np.linalg.matrix_power(t, config.n)[:, 0]
+    h, c, v, b = _reduced(config.model, config.resolved_theta(), (config.a,), config.n)[0]
     rho = np.zeros((3, 3), dtype=complex)
     rho[0, 0], rho[1, 1], rho[2, 2] = h, v, b
     rho[0, 1] = rho[1, 0] = c
-    return probabilities(rho), rho
+    return _clamped((h, v, b)), rho
 
 
 def probabilities(rho) -> Probabilities:
@@ -260,8 +282,7 @@ def probabilities(rho) -> Probabilities:
     m = np.asarray(rho, dtype=complex)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 density matrix, got shape {m.shape}")
-    diag = m.diagonal().real
-    return Probabilities(*(0.0 if -_CLAMP_TOL <= p < 0.0 else float(p) for p in diag))
+    return _clamped(m.diagonal().real)
 
 
 def closed_form_no_particle(theta: float, n: int) -> Probabilities:
@@ -294,7 +315,8 @@ def kraus_operators(model: ParticleModel, theta: float, a: float) -> list[np.nda
     the corresponding step function exactly.
     """
     model = ParticleModel(model)
-    a_eff = 0.0 if model is ParticleModel.ABSENT else operators._check_probability(a)
+    a = operators._check_probability(a)  # checked for every model, as CycleConfig does
+    a_eff = 0.0 if model is ParticleModel.ABSENT else a
     m_b = operators.projector(operators.Basis.B)
     m_nb = operators.projector(operators.NOT_B)
     if model is ParticleModel.COLLAPSE:

@@ -62,10 +62,13 @@ _U64_MAX = 2**64 - 1
 _CHUNK = 1 << 16  # trajectories per kernel call; results do not depend on it
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, in place: a bijective scramble of 64-bit words."""
+def _mix64(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer: a bijective scramble of 64-bit words.
+
+    Mixes into `out` and returns it; in place (into x) when out is None.
+    """
     t = x >> np.uint64(30)
-    x ^= t
+    x = np.bitwise_xor(x, t, out=x if out is None else out)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     np.right_shift(x, np.uint64(27), out=t)
     x ^= t
@@ -102,14 +105,14 @@ def trajectory_key(seed: int, index: int) -> int:
     return int(_keys_for(seed, np.array([index], dtype=np.uint64))[0])
 
 
-def _draw53(positions: np.ndarray) -> np.ndarray:
+def _draw53(positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The draws at stream positions key + (j+1)*PHI, as 53-bit integers.
 
-    Mixes `positions` in place into mix64(position) >> 11 and returns it.
-    A draw d stands for the uniform d * 2**-53 in [0, 1); compare it with
-    _cut(p), never with p itself.
+    Writes mix64(position) >> 11 into `out` (into `positions` itself when
+    out is None) and returns it.  A draw d stands for the uniform
+    d * 2**-53 in [0, 1); compare it with _cut(p), never with p itself.
     """
-    x = _mix64(positions)
+    x = _mix64(positions, out)
     x >>= np.uint64(11)
     return x
 
@@ -218,8 +221,9 @@ def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _Table):
     """
     m = keys.shape[0]
     pos = keys + _PHI
-    k = np.zeros(m, dtype=np.intp)
-    buf = np.empty(m, dtype=np.uint64)  # the first draw of every cycle goes here
+    # k <= n, and a table of 2**31 entries is far beyond any run, so int32 holds it
+    k = np.zeros(m, dtype=np.int32)
+    first = np.empty(m, dtype=np.uint64)  # the first draw of every cycle goes here
     # absorbed trajectories stay in place, masked, until they are half of
     # the array, so a cycle that absorbs a few does not copy all the others
     alive = np.ones(m, dtype=bool)
@@ -232,17 +236,17 @@ def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _Table):
     for _ in range(n):
         k += 1
         if cut_a:  # no draw is < 0: at a = 0 nothing measures
-            first = buf[: pos.shape[0]]
-            first[:] = pos
-            measured = np.flatnonzero((_draw53(first) < cut_a) & alive)
-            second = pos[measured]
+            draw = _draw53(pos, out=first[: pos.shape[0]])
+            measured = np.flatnonzero((draw < cut_a) & alive)
+            second = pos.take(measured)
             second += _PHI
             pos[measured] = second  # measuring streams move one draw further
-            k_measured = k[measured]
-            hit = _draw53(second) < table.cut_v[k_measured]
+            k_measured = k.take(measured)
+            hit = _draw53(second) < table.cut_v.take(k_measured)
             if measured.shape[0]:
                 k_max = max(k_max, int(k_measured.max()) - 1)
-            k[measured[~hit]] = 0
+            # a miss collapses to |H>; a hit is absorbed and masked, so its k is moot
+            k[measured] = 0
             dead = measured[hit]
             if dead.shape[0]:
                 alive[dead] = False
@@ -254,7 +258,7 @@ def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _Table):
             break
     if live:
         k_max = max(k_max, int(k[alive].max()))
-    n_v = np.count_nonzero((_draw53(pos) < table.cut_v[k]) & alive)
+    n_v = np.count_nonzero((_draw53(pos) < table.cut_v.take(k)) & alive)
     return np.array([live - n_v, n_v, m - live]), float(table.norm_err[k_max])
 
 

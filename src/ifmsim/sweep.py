@@ -3,7 +3,10 @@
 Three sweep shapes cover the standard plots: probability versus cycle count
 at fixed absorption, probability versus absorption at fixed cycle count, and
 the full (absorption x cycles) grid for heatmaps.  Records are emitted in
-deterministic (a, n) order.
+deterministic (a, n) order.  Parameters are checked once, one CycleConfig
+per absorption, and each cycle count makes one stacked call of the
+evolution engine over every absorption; a row is bit for bit the record
+``run_single`` gives for its own configuration.
 
 CSV contract: header ``model,a,n,theta,p_h,p_v,p_b``; every real is rendered
 with 17 significant digits (positional notation for magnitudes in
@@ -14,12 +17,13 @@ line feed, including the last.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import CycleConfig, evolve
-from .operators import _check_count
+from .evolution import CycleConfig, ParticleModel, _clamped, _reduced
+from .operators import _check_count, switching_angle
 
 __all__ = [
     "SweepRecord",
@@ -56,27 +60,36 @@ class SweepRecord:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
 
 
+def _block(model: ParticleModel, theta: float, a_values, n: int) -> list[SweepRecord]:
+    """One record per absorption at one cycle count, from one stacked engine call."""
+    states = _reduced(model, theta, a_values, n).tolist()
+    return [
+        SweepRecord(model.value, a, n, theta, *_clamped((h, v, b)))
+        for a, (h, _, v, b) in zip(a_values, states)
+    ]
+
+
 def run_single(config: CycleConfig) -> SweepRecord:
     """Evaluate one configuration into a record."""
-    probs, _ = evolve(config)
-    return SweepRecord(
-        model=config.model.value,
-        a=config.a,
-        n=config.n,
-        theta=config.resolved_theta(),
-        p_h=probs.p_h,
-        p_v=probs.p_v,
-        p_b=probs.p_b,
-    )
+    return _block(config.model, config.resolved_theta(), (config.a,), config.n)[0]
 
 
 def _records(a_values, n_values, model, theta) -> list[SweepRecord]:
-    """One record per (a, n), absorption outer and cycles inner."""
-    return [
-        run_single(CycleConfig(model=model, a=a, n=n, theta=theta))
-        for a in a_values
-        for n in n_values
+    """One record per (a, n), absorption outer and cycles inner.
+
+    One CycleConfig per absorption checks the parameters, raising what the
+    first failing row's own CycleConfig would; then each cycle count makes
+    one engine call over all absorptions.
+    """
+    configs = [CycleConfig(model=model, a=a, n=n_values[0], theta=theta) for a in a_values]
+    first = configs[0]
+    a_eff = [c.a for c in configs]
+    # CycleConfig returned n_values[0] as an int; _cycle_counts made the rest
+    blocks = [
+        _block(first.model, switching_angle(n) if theta is None else first.theta, a_eff, n)
+        for n in (first.n, *n_values[1:])
     ]
+    return [block[i] for i in range(len(a_eff)) for block in blocks]
 
 
 def _cycle_counts(n_max) -> range:
@@ -126,15 +139,26 @@ def format_real(x: float) -> str:
 
 def to_csv(records) -> str:
     """The full CSV text: header plus one line per record, LF terminated."""
+    # A sweep repeats each a and theta over many rows, so each value is
+    # formatted once; the key keeps the sign so that 0.0 and -0.0 stay apart.
+    formatted = {}
+
+    def repeated(x) -> str:
+        key = (x, math.copysign(1.0, x))
+        text = formatted.get(key)
+        if text is None:
+            text = formatted[key] = format_real(x)
+        return text
+
     lines = [CSV_HEADER]
     for r in records:
         lines.append(
             ",".join(
                 (
                     r.model,
-                    format_real(r.a),
+                    repeated(r.a),
                     str(r.n),
-                    format_real(r.theta),
+                    repeated(r.theta),
                     format_real(r.p_h),
                     format_real(r.p_v),
                     format_real(r.p_b),

@@ -92,6 +92,10 @@ COUNT_SITES = {
     "rotator_power.n": (lambda v: rotator_power(0.3, v), "n must be a non-negative integer"),
     "switching_angle.n": (lambda v: switching_angle(v), "cycle count must be a positive integer"),
     "sweep_cycles.n_max": (lambda v: sweep_cycles(0.5, v, "coherent"), "n_max must be >= 1"),
+    "sweep_absorption.n": (
+        lambda v: sweep_absorption(v, 3, "coherent"),
+        "cycle count n must be a positive integer",
+    ),
     "sweep_grid.n_max": (lambda v: sweep_grid(v, 3, "coherent"), "n_max must be >= 1"),
     "sweep_absorption.steps": (lambda v: sweep_absorption(3, v, "coherent"), "steps must be >= 2"),
     "sweep_grid.steps": (lambda v: sweep_grid(3, v, "coherent"), "steps must be >= 2"),
@@ -112,6 +116,8 @@ PROBABILITY_SITES = {
     "CycleConfig.a": lambda v: CycleConfig(model="coherent", a=v, n=3),
     "step_collapse.a": lambda v: step_collapse(initial_state(), 0.3, v),
     "kraus_operators.a": lambda v: kraus_operators("collapse", 0.3, v),
+    "kraus_operators.absent.a": lambda v: kraus_operators("absent", 0.3, v),
+    "sweep_cycles.a": lambda v: sweep_cycles(v, 3, "coherent"),
 }
 
 

@@ -13,6 +13,7 @@ from ifmsim.evolution import (
     CycleConfig,
     ParticleModel,
     Probabilities,
+    _reduced,
     closed_form_no_particle,
     closed_form_perfect_absorber,
     evolve,
@@ -22,7 +23,7 @@ from ifmsim.evolution import (
     step_coherent,
     step_collapse,
 )
-from ifmsim.operators import rotator3
+from ifmsim.operators import rotator3, switching_angle
 
 
 def _rho_b():
@@ -234,6 +235,13 @@ class TestKrausOperators:
         ):
             assert np.array_equal(ka, kc)
 
+    def test_absent_checks_absorption_like_cycle_config(self):
+        message = "absorption probability must be in [0, 1], got 5.0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CycleConfig(model="absent", a=5.0, n=3)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kraus_operators("absent", 0.3, 5.0)
+
     @pytest.mark.parametrize("model", [ParticleModel.COHERENT, ParticleModel.COLLAPSE])
     def test_steps_equal_generic_kraus_application(self, model, make_state):
         rng = np.random.default_rng(13)
@@ -313,6 +321,49 @@ class TestEngineMatchesReferenceSteps:
                 for _ in range(n):
                     rho = step(rho, cfg.resolved_theta(), a)
                 self._assert_matches(cfg, rho)
+
+
+def _transfer_matrix(model, theta, a):
+    """One cycle as a real 4x4 map on (h, c, v, b), written out entry by entry."""
+    cos, sin = math.cos(theta), math.sin(theta)
+    cc, ss, cs = cos * cos, sin * sin, cos * sin
+    keep = 1.0 - a
+    q = keep if model is ParticleModel.COLLAPSE else math.sqrt(keep)
+    return np.array(
+        [
+            [cc, -2.0 * cs, ss, 0.0],
+            [q * cs, q * (cc - ss), -q * cs, 0.0],
+            [keep * ss, keep * 2.0 * cs, keep * cc, 0.0],
+            [a * ss, a * 2.0 * cs, a * cc, 1.0],
+        ]
+    )
+
+
+class TestStackedEngine:
+    """Each row of a stacked power equals the 2-D power of its own matrix, bit for bit."""
+
+    ABSORPTIONS = (0.0, 1e-12, 0.3, 0.5, 1.0 - 1e-9, 1.0)
+    THETAS = (None, 0.3, 2.5, -2.5)
+    # every shortcut of matrix_power (n = 1, 2, 3) and both parities of its squaring loop
+    COUNTS = (1, 2, 3, 4, 5, 7, 8, 16, 17, 250, 1000)
+
+    @pytest.mark.parametrize("model", list(ParticleModel), ids=lambda m: m.value)
+    def test_rows_equal_single_matrix_powers(self, model):
+        for theta in self.THETAS:
+            for n in self.COUNTS:
+                t = switching_angle(n) if theta is None else theta
+                rows = _reduced(model, t, self.ABSORPTIONS, n)
+                assert rows.shape == (len(self.ABSORPTIONS), 4)
+                for a, row in zip(self.ABSORPTIONS, rows):
+                    single = np.linalg.matrix_power(_transfer_matrix(model, t, a), n)[:, 0]
+                    assert np.array_equal(row, single), (a, theta, n)
+
+    def test_evolve_reads_the_engine_row(self):
+        cfg = CycleConfig(model="collapse", a=0.3, n=17, theta=2.5)
+        h, c, v, b = _reduced(cfg.model, 2.5, (0.3,), 17)[0]
+        probs, rho = evolve(cfg)
+        assert tuple(probs) == (h, v, b)
+        assert (rho[0, 0], rho[0, 1], rho[1, 0], rho[1, 1], rho[2, 2]) == (h, c, c, v, b)
 
 
 class TestProbabilities:

@@ -311,6 +311,15 @@ class TestDrawThresholds:
         assert int(draws.max()) < 2**53
         assert int(draws.max()) >= 2**52  # the top bit is used
 
+    def test_draws_into_a_buffer_leave_the_positions(self):
+        positions = trajectory_keys(3, 1000) + oracle._PHI
+        kept = positions.copy()
+        buf = np.empty(1500, dtype=np.uint64)
+        draws = oracle._draw53(positions, out=buf[:1000])
+        assert np.shares_memory(draws, buf)
+        assert np.array_equal(positions, kept)
+        assert np.array_equal(draws, oracle._draw53(kept))
+
 
 class TestSampleTrajectory:
     def test_returns_basis_label(self):

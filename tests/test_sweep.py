@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from ifmsim.evolution import CycleConfig, closed_form_no_particle, evolve
+from ifmsim import sweep
+from ifmsim.evolution import CycleConfig, ParticleModel, closed_form_no_particle, evolve
 from ifmsim.sweep import (
     CSV_HEADER,
     SweepRecord,
@@ -151,6 +153,73 @@ class TestSweepGrid:
             assert at_one.p_h >= top.p_h - 1e-12
 
 
+class TestStackedSweeps:
+    """Sweeps evaluate every absorption of a cycle count in one engine call."""
+
+    ABSORPTIONS = (0.0, 1e-12, 0.3, 0.5, 1.0 - 1e-9, 1.0)
+    THETAS = (None, 0.3, 2.5, -2.5)
+    COUNTS = (1, 2, 3, 4, 5, 7, 8, 16, 17, 250, 1000)
+
+    @staticmethod
+    def _assert_rows_equal_run_single(records, model, theta):
+        # repr shows every field, floats exactly and with their sign
+        for r in records:
+            single = run_single(CycleConfig(model=model, a=r.a, n=r.n, theta=theta))
+            assert repr(r) == repr(single)
+
+    @pytest.mark.parametrize("model", list(ParticleModel), ids=lambda m: m.value)
+    def test_records_equal_run_single(self, model):
+        for theta in self.THETAS:
+            records = sweep._records(self.ABSORPTIONS, self.COUNTS, model, theta)
+            a_eff = [0.0 if model is ParticleModel.ABSENT else a for a in self.ABSORPTIONS]
+            assert [(r.a, r.n) for r in records] == [
+                (a, n) for a in a_eff for n in self.COUNTS
+            ]
+            self._assert_rows_equal_run_single(records, model, theta)
+
+    @pytest.mark.parametrize("model", list(ParticleModel), ids=lambda m: m.value)
+    def test_public_sweeps_equal_run_single(self, model):
+        for theta in (None, 0.3):
+            for records in (
+                sweep_grid(17, 5, model, theta),
+                sweep_cycles(0.37, 20, model, theta),
+                sweep_absorption(250, 7, model, theta),
+            ):
+                self._assert_rows_equal_run_single(records, model, theta)
+
+    def test_one_matrix_power_per_cycle_count(self, monkeypatch):
+        calls = []
+        power = np.linalg.matrix_power
+
+        def counted(a, n):
+            calls.append(n)
+            return power(a, n)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", counted)
+        sweep_grid(12, 5, "coherent")
+        assert calls == list(range(1, 13))
+        calls.clear()
+        sweep_absorption(50, 101, "collapse")
+        assert calls == [50]
+
+    @pytest.mark.parametrize(
+        "a,n,model,theta",
+        [
+            (0.5, 3, "bogus", None),
+            ("x", 0, "bogus", math.nan),
+            (2.0, 0, "coherent", None),
+            (2.0, 3, "coherent", math.nan),
+            (0.5, 2.5, "collapse", math.inf),
+            (0.5, 3, "absent", math.inf),
+        ],
+    )
+    def test_rejects_what_the_first_rows_config_rejects(self, a, n, model, theta):
+        with pytest.raises(ValueError) as expected:
+            CycleConfig(model=model, a=a, n=n, theta=theta)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            sweep._records([a, 0.5], [n, 4], model, theta)
+
+
 class TestCsv:
     def test_golden_bytes(self):
         records = [
@@ -169,6 +238,27 @@ class TestCsv:
             "0.0000000000000000,1.0000000000000000,0.0000000000000000\n"
         )
         assert to_csv(records) == expected
+
+    def test_repeated_values_format_as_format_real(self):
+        records = sweep_grid(6, 3, "collapse") + sweep_cycles(0.25, 4, "coherent", theta=0.5)
+        expected = [CSV_HEADER] + [
+            ",".join(
+                (r.model, format_real(r.a), str(r.n), format_real(r.theta))
+                + tuple(format_real(p) for p in (r.p_h, r.p_v, r.p_b))
+            )
+            for r in records
+        ]
+        assert to_csv(records) == "\n".join(expected) + "\n"
+
+    def test_signed_zeros_stay_apart(self):
+        fields = dict(model="coherent", n=1, p_h=1.0, p_v=0.0, p_b=0.0)
+        records = [
+            SweepRecord(a=0.0, theta=-0.0, **fields),
+            SweepRecord(a=-0.0, theta=0.0, **fields),
+        ]
+        lines = to_csv(records).splitlines()[1:]
+        assert [line.split(",")[1] for line in lines] == [format_real(0.0), format_real(-0.0)]
+        assert [line.split(",")[3] for line in lines] == [format_real(-0.0), format_real(0.0)]
 
     def test_header_constant(self):
         assert to_csv([]) == CSV_HEADER + "\n"
