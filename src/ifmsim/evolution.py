@@ -48,7 +48,10 @@ whole stack in one ``matrix_power`` call, so a sweep pays the per-call cost
 once per cycle count rather than once per row; ``evolve`` is the one-row
 case.  A row's bits do not depend on the stack it is in.  The 3x3 step
 kernels ``step_coherent`` / ``step_collapse`` stay as the validated
-reference that the engine is tested against.
+reference that the engine is tested against.  They take a (..., 3, 3)
+stack of states with angles and absorptions broadcast over it, validate the
+whole stack in one pass, and step every matrix exactly as a lone 3x3 input
+is stepped.
 """
 
 from __future__ import annotations
@@ -155,29 +158,33 @@ def initial_state() -> np.ndarray:
 
 
 def _require_density_matrix(rho) -> np.ndarray:
-    """Validate rho as a 3x3 density matrix; return it as a complex array.
+    """Validate rho as a (..., 3, 3) stack of density matrices; return it as a complex array.
 
-    One pass, in order: shape, finite entries, Hermiticity within
-    HERMITICITY_TOL, unit trace within TRACE_TOL, and no eigenvalue below
-    -PSD_TOL (the checks of linalg.is_hermitian and linalg.is_psd).
+    One pass over the whole stack, in order: shape, finite entries,
+    Hermiticity within HERMITICITY_TOL, unit trace within TRACE_TOL, and no
+    eigenvalue below -PSD_TOL.  The first check any matrix fails raises.
     """
     m = np.asarray(rho, dtype=complex)
-    if m.shape != (3, 3):
+    if m.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 density matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("density matrix entries must be finite")
-    if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
+    if (np.abs(m - m.conj().swapaxes(-1, -2)) > HERMITICITY_TOL).any():
         raise ValueError("density matrix must be Hermitian")
-    tr = m.trace()
-    if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    if ((np.abs(tr.real - 1.0) > TRACE_TOL) | (np.abs(tr.imag) > TRACE_TOL)).any():
         raise ValueError("density matrix must have unit trace")
-    if np.linalg.eigvalsh(m).min() < -PSD_TOL:
+    if (np.linalg.eigvalsh(m) < -PSD_TOL).any():
         raise ValueError("density matrix must be positive semidefinite")
     return m
 
 
-def step_coherent(rho, theta: float, a: float) -> np.ndarray:
-    """One cycle of the coherent-absorber channel on a valid density matrix.
+def step_coherent(rho, theta, a) -> np.ndarray:
+    """One cycle of the coherent-absorber channel on valid density matrices.
+
+    `rho` is one 3x3 state or a (..., 3, 3) stack; `theta` and `a` are
+    scalars or arrays broadcast over the stack.  Each output matrix is bit
+    for bit the step of that matrix alone.
 
     Raises
     ------
@@ -187,18 +194,20 @@ def step_coherent(rho, theta: float, a: float) -> np.ndarray:
     m = _require_density_matrix(rho)
     k = operators.absorption(a) @ operators.rotator3(theta)
     survivor = m.copy()
-    survivor[2, :] = 0.0
-    survivor[:, 2] = 0.0
-    out = k @ survivor @ k.conj().T
-    out[2, 2] += m[2, 2]
+    survivor[..., 2, :] = 0.0
+    survivor[..., :, 2] = 0.0
+    out = k @ survivor @ k.conj().swapaxes(-1, -2)
+    out[..., 2, 2] += m[..., 2, 2]
     # projective {B, not-B} dephasing
-    out[2, :2] = 0.0
-    out[:2, 2] = 0.0
+    out[..., 2, :2] = 0.0
+    out[..., :2, 2] = 0.0
     return out
 
 
-def step_collapse(rho, theta: float, a: float) -> np.ndarray:
-    """One cycle of the measuring-particle channel on a valid density matrix.
+def step_collapse(rho, theta, a) -> np.ndarray:
+    """One cycle of the measuring-particle channel on valid density matrices.
+
+    Takes stacks and broadcasts `theta` and `a` as ``step_coherent`` does.
 
     Raises
     ------
@@ -206,15 +215,15 @@ def step_collapse(rho, theta: float, a: float) -> np.ndarray:
         If rho violates the density-matrix invariants or a is outside [0, 1].
     """
     m = _require_density_matrix(rho)
-    av = operators._check_probability(a)
+    av = operators._check_probabilities(a)
     u_nb = operators.rotator3(theta) @ operators.projector(operators.NOT_B)
     # Kraus set {M_B, sqrt(1-a) U_nb, sqrt(a) M_H U_nb, sqrt(a) S U_nb} by
     # entries; the last three act on rho_u = U_nb rho U_nb^+ in the {H, V} block
-    rho_u = u_nb @ m @ u_nb.conj().T
-    out = (1.0 - av) * rho_u
-    out[0, 0] += av * rho_u[0, 0]  # M_H branch: photon found in H, particle intact
-    out[2, 2] += av * rho_u[1, 1]  # S branch: photon found in V, absorbed
-    out[2, 2] += m[2, 2]  # M_B: already-absorbed population is frozen
+    rho_u = u_nb @ m @ u_nb.conj().swapaxes(-1, -2)
+    out = (1.0 - av)[..., None, None] * rho_u
+    out[..., 0, 0] += av * rho_u[..., 0, 0]  # M_H branch: photon found in H, particle intact
+    out[..., 2, 2] += av * rho_u[..., 1, 1]  # S branch: photon found in V, absorbed
+    out[..., 2, 2] += m[..., 2, 2]  # M_B: already-absorbed population is frozen
     return out
 
 
@@ -291,7 +300,7 @@ def closed_form_no_particle(theta: float, n: int) -> Probabilities:
     (cos^2(n theta), sin^2(n theta), 0); the accumulated angle is reduced
     modulo 2*pi before the trig evaluation.
     """
-    n = operators._check_count(n, 0, "n must be a non-negative integer")
+    n = operators._check_float_count(n, 0, "n must be a non-negative integer")
     phi = math.fmod(n * float(theta), 2.0 * math.pi)
     c, s = math.cos(phi), math.sin(phi)
     return Probabilities(c * c, s * s, 0.0)
@@ -303,8 +312,10 @@ def closed_form_perfect_absorber(theta: float, n: int) -> Probabilities:
     Each cycle the photon survives in |H> with probability cos^2(theta), so
     (cos^{2n}(theta), 0, 1 - cos^{2n}(theta)).
     """
-    n = operators._check_count(n, 0, "n must be a non-negative integer")
-    p_h = math.cos(float(theta)) ** (2 * n)
+    n = operators._check_float_count(n, 0, "n must be a non-negative integer")
+    # 2.0 * n rounds as 2 * n does; near the count limit it is inf rather
+    # than an OverflowError, and cos**inf is the power's limit
+    p_h = math.cos(float(theta)) ** (2.0 * n)
     return Probabilities(p_h, 0.0, 1.0 - p_h)
 
 

@@ -1,8 +1,9 @@
 """Validity checks for the 2x2 and 3x3 complex matrices used throughout.
 
-``linalg`` holds only the two checks that density-matrix validation and the
-``verify`` suite share: Hermiticity within a tolerance and positive
-semidefiniteness.  Matrix products, adjoints and traces are plain numpy.
+``linalg`` holds two checks: Hermiticity within a tolerance and positive
+semidefiniteness.  The ``verify`` suite's positivity check uses them; the
+step kernels validate their input states themselves.  Matrix products,
+adjoints and traces are plain numpy.
 Each check takes one matrix or a stack of them, shape ``(..., d, d)``, and
 is True only when every matrix in the stack passes, so ``verify`` checks
 all of its step outputs in one call.  Inputs are never mutated.

@@ -16,12 +16,19 @@ Operators built here:
 * ``projector`` -- the measurement projectors onto basis states or onto the
   not-absorbed subspace span{|H>, |V>}.
 * ``switching_angle`` -- the angle pi/(2n) that walks |H> to |V> in n cycles.
+
+``rotator2``, ``rotator3``, ``absorption`` and ``rotator_power`` also take
+arrays (``rotator_power`` broadcasts its angle against its count) and
+return a ``(..., d, d)`` stack, one matrix per element, each bit for bit
+the matrix of that element's scalar call.  A scalar argument gives one
+``(d, d)`` matrix through the same code.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +59,15 @@ class Basis(enum.IntEnum):
 NOT_B = "not_b"
 
 
-def _check_angle(theta: float) -> float:
-    t = float(theta)
-    if not math.isfinite(t):
+# The largest count the float formulas (n*theta, pi/(2n), cos^(2n) theta)
+# take: a larger int overflows, or rounds down to it, on conversion.
+_MAX_COUNT = sys.float_info.max
+
+
+def _check_angle(theta) -> np.ndarray:
+    """`theta` as a float array, 0-d for a scalar; ValueError unless every element is finite."""
+    t = np.asarray(theta, dtype=float)
+    if not np.isfinite(t).all():
         raise ValueError("angle must be finite")
     return t
 
@@ -64,6 +77,19 @@ def _check_probability(a) -> float:
     av = float(a)
     if not 0.0 <= av <= 1.0:
         raise ValueError(f"absorption probability must be in [0, 1], got {a!r}")
+    return av
+
+
+def _check_probabilities(a) -> np.ndarray:
+    """`a` as a float array, 0-d for a scalar, with every element in [0, 1].
+
+    The first element outside [0, 1], inf and NaN included, raises
+    `_check_probability`'s ValueError for that element as a Python float.
+    """
+    av = np.asarray(a, dtype=float)
+    outside = ~((av >= 0.0) & (av <= 1.0))
+    if outside.any():
+        _check_probability(a if av.ndim == 0 else av[outside][0].item())
     return av
 
 
@@ -78,11 +104,50 @@ def _check_count(value, lo: int, message: str) -> int:
     return v
 
 
-def rotator2(theta: float) -> np.ndarray:
-    """2x2 polarization rotator [[cos t, -sin t], [sin t, cos t]]."""
+def _check_float_count(value, lo: int, message: str) -> int:
+    """`_check_count`, and at most `_MAX_COUNT`, for a count used in float arithmetic."""
+    v = _check_count(value, lo, message)
+    if v > _MAX_COUNT:
+        raise ValueError(f"{message} no larger than {_MAX_COUNT!r}")
+    return v
+
+
+def _check_counts(n, lo: int, message: str) -> np.ndarray:
+    """`n` as a float array, 0-d for a scalar, of integers in [lo, `_MAX_COUNT`].
+
+    A scalar goes through `_check_float_count`; an array raises
+    ValueError(message) if any element is not such an integer.
+    """
+    if np.ndim(n) == 0:
+        return np.float64(_check_float_count(n, lo, message))
+    nv = np.asarray(n, dtype=float)
+    if not (np.isfinite(nv) & (nv >= lo) & (nv == np.floor(nv))).all():
+        raise ValueError(message)
+    return nv
+
+
+def _rotation(theta, dim: int) -> np.ndarray:
+    """Rotation by `theta` in the {|H>, |V>} plane of a `dim`-dimensional space.
+
+    One (dim, dim) matrix per element of `theta`, identity outside the plane.
+    """
     t = _check_angle(theta)
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    c, s = np.cos(t), np.sin(t)
+    m = np.zeros(t.shape + (dim, dim), dtype=complex)
+    m[..., 0, 0] = m[..., 1, 1] = c
+    m[..., 0, 1] = -s
+    m[..., 1, 0] = s
+    if dim == 3:
+        m[..., 2, 2] = 1.0
+    return m
+
+
+def rotator2(theta) -> np.ndarray:
+    """2x2 polarization rotator [[cos t, -sin t], [sin t, cos t]].
+
+    An array of angles gives a (..., 2, 2) stack.
+    """
+    return _rotation(theta, 2)
 
 
 @dataclass(frozen=True)
@@ -100,34 +165,38 @@ def rotator_eigen(theta: float) -> EigenDecomposition:
     eigenvectors (1, i)/sqrt(2) and (1, -i)/sqrt(2).  The first component of
     each eigenvector is real and positive, which fixes the overall phase.
     """
-    t = _check_angle(theta)
+    t = float(_check_angle(theta))
     values = np.array([np.exp(-1j * t), np.exp(1j * t)])
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     vectors = np.array([[inv_sqrt2, inv_sqrt2], [1j * inv_sqrt2, -1j * inv_sqrt2]])
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def rotator_power(theta: float, n: int) -> np.ndarray:
+def rotator_power(theta, n) -> np.ndarray:
     """n-th power of ``rotator2(theta)`` from the closed form, not iteration.
 
     The rotator's powers are rotations themselves, so the result is
     ``rotator2(n*theta)``.  The accumulated angle is reduced modulo 2*pi
-    before the trig evaluation to keep accuracy for large n.
+    before the trig evaluation to keep accuracy for large n.  `theta` and
+    `n` broadcast against each other; arrays give a (..., 2, 2) stack.
     """
-    n = _check_count(n, 0, "n must be a non-negative integer")
+    nv = _check_counts(n, 0, "n must be a non-negative integer")
     t = _check_angle(theta)
-    phi = math.fmod(n * t, 2.0 * math.pi)
+    # an n*theta beyond the float range is an angle rotator2 rejects as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = np.fmod(nv * t, 2.0 * math.pi)
     return rotator2(phi)
 
 
-def rotator3(theta: float) -> np.ndarray:
-    """Rotator on {|H>, |V>} embedded in 3x3, acting as identity on |B>."""
-    t = _check_angle(theta)
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+def rotator3(theta) -> np.ndarray:
+    """Rotator on {|H>, |V>} embedded in 3x3, acting as identity on |B>.
+
+    An array of angles gives a (..., 3, 3) stack.
+    """
+    return _rotation(theta, 3)
 
 
-def absorption(a: float) -> np.ndarray:
+def absorption(a) -> np.ndarray:
     """Unitary absorption coupling for interaction probability ``a``.
 
         [[1, 0,         0        ],
@@ -138,14 +207,16 @@ def absorption(a: float) -> np.ndarray:
     to |B> with amplitude sqrt(a).  The -sqrt(a) entry is the reverse
     (emission) amplitude from |B> back to |V>; the per-cycle projective
     measurement in the evolution step is what prevents that return path from
-    ever acting.
+    ever acting.  An array of probabilities gives a (..., 3, 3) stack.
     """
-    av = _check_probability(a)
-    r, q = math.sqrt(1.0 - av), math.sqrt(av)
-    return np.array(
-        [[1.0, 0.0, 0.0], [0.0, r, -q], [0.0, q, r]],
-        dtype=complex,
-    )
+    av = _check_probabilities(a)
+    r, q = np.sqrt(1.0 - av), np.sqrt(av)
+    m = np.zeros(av.shape + (3, 3), dtype=complex)
+    m[..., 0, 0] = 1.0
+    m[..., 1, 1] = m[..., 2, 2] = r
+    m[..., 1, 2] = -q
+    m[..., 2, 1] = q
+    return m
 
 
 def projector(label) -> np.ndarray:
@@ -165,4 +236,5 @@ def projector(label) -> np.ndarray:
 
 def switching_angle(n: int) -> float:
     """The per-cycle angle pi/(2n) that maps |H> to |V> after n cycles."""
-    return math.pi / (2.0 * _check_count(n, 1, "cycle count must be a positive integer"))
+    # (pi/2)/n rounds the same real number as pi/(2n), without overflowing 2n
+    return 0.5 * math.pi / _check_float_count(n, 1, "cycle count must be a positive integer")

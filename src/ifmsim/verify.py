@@ -5,9 +5,13 @@ unitarity, channel trace preservation, positivity, closed-form agreement,
 model equivalence at the extremes, Monte Carlo concordance).  All sampling
 is seeded, so two runs produce byte-identical reports.
 
-The trace, positivity and absorbed-population checks share one set of step
-outputs: ``run_checks`` runs both step kernels on the same seeded samples
-once per call and hands the stacked states to those three checks.
+Seeded samples are drawn one at a time, in a fixed order, and then
+stepped, multiplied and reduced as stacks: the step kernels and operator
+constructors take (..., d, d) stacks, so no check loops over its samples to
+call them.  The trace, positivity and absorbed-population checks share one
+set of step outputs: ``run_checks`` runs both step kernels on the same
+seeded samples once per call and hands the stacked states to those three
+checks.
 
 Operators and evolution steps are reached through their modules on purpose:
 replacing, say, ``operators.absorption`` with a broken variant makes the
@@ -45,18 +49,26 @@ def _random_params(rng) -> tuple[float, float]:
     return float(rng.uniform(0.0, np.pi)), float(rng.uniform(0.0, 1.0))
 
 
+def _stacked(samples) -> list[np.ndarray]:
+    """Per-sample tuples, drawn in order, as one stacked array per field."""
+    return [np.array(field) for field in zip(*samples)]
+
+
+def _dagger(m) -> np.ndarray:
+    """Conjugate transpose of every matrix of a (..., d, d) stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def _check_operator_unitarity() -> CheckResult:
-    rng = np.random.default_rng(_RNG_SEED)
-    eye2, eye3 = np.eye(2), np.eye(3)
-    dev = 0.0
-    for theta in rng.uniform(0.0, 2.0 * np.pi, size=100):
-        u2 = operators.rotator2(theta)
-        u3 = operators.rotator3(theta)
-        dev = max(dev, np.abs(u2 @ u2.conj().T - eye2).max())
-        dev = max(dev, np.abs(u3 @ u3.conj().T - eye3).max())
-    for a in np.linspace(0.0, 1.0, 101):
-        ab = operators.absorption(a)
-        dev = max(dev, np.abs(ab @ ab.conj().T - eye3).max())
+    thetas = np.random.default_rng(_RNG_SEED).uniform(0.0, 2.0 * np.pi, size=100)
+    dev = max(
+        np.abs(u @ _dagger(u) - np.eye(u.shape[-1])).max()
+        for u in (
+            operators.rotator2(thetas),
+            operators.rotator3(thetas),
+            operators.absorption(np.linspace(0.0, 1.0, 101)),
+        )
+    )
     return CheckResult(
         "operator-unitarity", dev <= 1e-13, f"max |U U^+ - I| = {dev:.3e} (tol 1e-13)"
     )
@@ -80,25 +92,23 @@ def _check_projector_algebra() -> CheckResult:
 
 
 def _check_rotator_closed_form() -> CheckResult:
-    power_dev = 0.0
-    for theta in (0.3, np.pi / 7.0, 1.0, 2.5, np.pi / 2.0):
-        r1 = operators.rotator2(theta)
-        acc = np.eye(2, dtype=complex)
-        products = np.empty((400, 2, 2), dtype=complex)
-        powers = np.empty_like(products)
-        for n in range(1, 401):
-            acc = r1 @ acc
-            products[n - 1] = acc
-            powers[n - 1] = operators.rotator_power(theta, n)
-        power_dev = max(power_dev, np.abs(powers - products).max())
-    recon_dev = 0.0
-    for theta in np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False):
-        eig = operators.rotator_eigen(theta)
-        recon = sum(
-            eig.values[k] * np.outer(eig.vectors[:, k], eig.vectors[:, k].conj())
-            for k in range(2)
-        )
-        recon_dev = max(recon_dev, np.abs(recon - operators.rotator2(theta)).max())
+    thetas = np.array([0.3, np.pi / 7.0, 1.0, 2.5, np.pi / 2.0])
+    r1 = operators.rotator2(thetas)
+    # gaps[n - 1]: the closed-form n-th power less the product of n left
+    # multiplications by r1, for every angle at once
+    gaps = operators.rotator_power(thetas, np.arange(1, 401)[:, None])
+    acc = np.broadcast_to(np.eye(2, dtype=complex), r1.shape)
+    for n in range(400):
+        acc = r1 @ acc
+        gaps[n] -= acc
+    power_dev = np.abs(gaps).max()
+    thetas = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
+    eigs = [operators.rotator_eigen(theta) for theta in thetas]
+    values = np.array([eig.values for eig in eigs])  # (100, 2)
+    vectors = np.array([eig.vectors for eig in eigs])  # (100, 2, 2)
+    # sum over k of values[k] * outer(v_k, v_k^*), for every angle at once
+    terms = values[:, None, None, :] * (vectors[:, :, None, :] * vectors.conj()[:, None, :, :])
+    recon_dev = np.abs(terms.sum(axis=-1) - operators.rotator2(thetas)).max()
     passed = power_dev <= 1e-12 and recon_dev <= 1e-13
     return CheckResult(
         "rotator-closed-form",
@@ -126,19 +136,16 @@ def _check_kraus_completeness() -> CheckResult:
 def _step_outputs() -> tuple[np.ndarray, np.ndarray]:
     """(rhos, outs): 200 seeded samples through both step kernels, stacked.
 
-    Each is a (400, 3, 3) stack: ``outs[2k]`` is the coherent and
-    ``outs[2k+1]`` the collapse step of sample k, ``rhos[2k] == rhos[2k+1]``.
+    Each is a (400, 3, 3) stack: ``outs[k]`` is the coherent and
+    ``outs[200 + k]`` the collapse step of sample k, whose state is
+    ``rhos[k] == rhos[200 + k]``.
     """
     rng = np.random.default_rng(_RNG_SEED + 2)
-    rhos = np.empty((400, 3, 3), dtype=complex)
-    outs = np.empty_like(rhos)
-    for i in range(0, 400, 2):
-        theta, a = _random_params(rng)
-        rho = _random_state(rng)
-        rhos[i] = rhos[i + 1] = rho
-        outs[i] = evolution.step_coherent(rho, theta, a)
-        outs[i + 1] = evolution.step_collapse(rho, theta, a)
-    return rhos, outs
+    theta, a, rho = _stacked((*_random_params(rng), _random_state(rng)) for _ in range(200))
+    outs = np.concatenate(
+        [evolution.step_coherent(rho, theta, a), evolution.step_collapse(rho, theta, a)]
+    )
+    return np.concatenate([rho, rho]), outs
 
 
 def _check_trace_preservation(rhos, outs) -> CheckResult:
@@ -150,7 +157,7 @@ def _check_trace_preservation(rhos, outs) -> CheckResult:
 
 
 def _check_positivity_preservation(rhos, outs) -> CheckResult:
-    outs_h = outs.conj().swapaxes(1, 2)
+    outs_h = _dagger(outs)
     herm_dev = np.abs(outs - outs_h).max()
     ok = linalg.is_hermitian(outs, evolution.HERMITICITY_TOL)
     min_eig = np.linalg.eigvalsh(0.5 * (outs + outs_h)).min()
@@ -167,11 +174,9 @@ def _check_absorbed_fixed_point() -> CheckResult:
     rho_b = np.zeros((3, 3), dtype=complex)
     rho_b[2, 2] = 1.0
     rng = np.random.default_rng(_RNG_SEED + 3)
-    ok = True
-    for _ in range(20):
-        theta, a = _random_params(rng)
-        ok &= np.array_equal(evolution.step_coherent(rho_b, theta, a), rho_b)
-        ok &= np.array_equal(evolution.step_collapse(rho_b, theta, a), rho_b)
+    theta, a = _stacked(_random_params(rng) for _ in range(20))
+    ok = (evolution.step_coherent(rho_b, theta, a) == rho_b).all()
+    ok &= (evolution.step_collapse(rho_b, theta, a) == rho_b).all()
     return CheckResult(
         "absorbed-state-fixed-point", bool(ok), "|B><B| invariant exactly, both models"
     )
@@ -188,27 +193,16 @@ def _check_absorbed_monotone(rhos, outs) -> CheckResult:
 
 
 def _check_limiting_closed_forms() -> CheckResult:
-    dev = 0.0
+    evolved, exact = [], []
     for n in range(1, 101):
         absent = evolution.CycleConfig(model=evolution.ParticleModel.ABSENT, a=0.0, n=n)
         theta = absent.resolved_theta()
-        probs, _ = evolution.evolve(absent)
-        dev = max(
-            dev,
-            np.abs(
-                np.asarray(probs)
-                - np.asarray(evolution.closed_form_no_particle(theta, n))
-            ).max(),
-        )
+        evolved.append(evolution.evolve(absent)[0])
+        exact.append(evolution.closed_form_no_particle(theta, n))
         bomb = evolution.CycleConfig(model=evolution.ParticleModel.COHERENT, a=1.0, n=n)
-        probs, _ = evolution.evolve(bomb)
-        dev = max(
-            dev,
-            np.abs(
-                np.asarray(probs)
-                - np.asarray(evolution.closed_form_perfect_absorber(theta, n))
-            ).max(),
-        )
+        evolved.append(evolution.evolve(bomb)[0])
+        exact.append(evolution.closed_form_perfect_absorber(theta, n))
+    dev = np.abs(np.array(evolved) - np.array(exact)).max()
     return CheckResult(
         "limiting-closed-forms",
         dev <= 1e-10,
@@ -233,18 +227,12 @@ def _check_model_equivalence() -> CheckResult:
     rng = np.random.default_rng(_RNG_SEED + 4)
     devs = {}
     for a in (0.0, 1.0):
-        dev = 0.0
-        for _ in range(100):
-            theta = float(rng.uniform(0.0, np.pi))
-            rho = _random_state(rng)
-            dev = max(
-                dev,
-                np.abs(
-                    evolution.step_coherent(rho, theta, a)
-                    - evolution.step_collapse(rho, theta, a)
-                ).max(),
-            )
-        devs[a] = dev
+        theta, rho = _stacked(
+            (float(rng.uniform(0.0, np.pi)), _random_state(rng)) for _ in range(100)
+        )
+        devs[a] = np.abs(
+            evolution.step_coherent(rho, theta, a) - evolution.step_collapse(rho, theta, a)
+        ).max()
     passed = devs[0.0] <= 1e-12 and devs[1.0] <= 1e-12
     return CheckResult(
         "model-equivalence-extremes",

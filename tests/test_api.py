@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,24 @@ def test_non_integer_count_raises_value_error(site, value):
     call, message = COUNT_SITES[site]
     with pytest.raises(ValueError, match=re.escape(message)):
         call(value)
+
+
+# The count sites whose count enters float arithmetic, and so has a largest value.
+FLOAT_COUNT_SITES = [
+    "closed_form_no_particle.n",
+    "closed_form_perfect_absorber.n",
+    "rotator_power.n",
+    "switching_angle.n",
+]
+
+
+@pytest.mark.parametrize("site", FLOAT_COUNT_SITES)
+def test_count_beyond_the_float_range_names_the_limit(site):
+    call, message = COUNT_SITES[site]
+    limit = f"{message} no larger than 1.7976931348623157e+308"
+    with pytest.raises(ValueError, match="^" + re.escape(limit) + "$"):
+        call(10**400)
+    call(int(sys.float_info.max))  # the limit itself is accepted
 
 
 # (entry point taking the absorption probability a)

@@ -135,6 +135,7 @@ class TestUsageErrors:
             ["oracle", "--cycles", "5", "--seed", "-1"],
             ["oracle", "--cycles", "5", "--trajectories", "0"],
             ["run", "--cycles", "3", "--out", "/nonexistent/x.csv"],
+            ["run", "--cycles", str(10**400)],
         ],
     )
     def test_exit_code_two(self, capsys, argv):

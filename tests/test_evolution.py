@@ -197,6 +197,86 @@ class TestStateValidation:
             assert out.shape == (3, 3)
 
 
+STEPS = pytest.mark.parametrize(
+    "step", [step_coherent, step_collapse], ids=["coherent", "collapse"]
+)
+
+
+class TestStackedSteps:
+    """The step kernels on (..., 3, 3) stacks: every output matrix is bit for
+    bit the step of that matrix alone, and a bad element anywhere in a stack
+    raises what it raises alone."""
+
+    @staticmethod
+    def _grid(make_state, k=40):
+        rng = np.random.default_rng(14)
+        rho = np.array([make_state() for _ in range(k)])
+        rho[::5] = _rho_b()
+        theta = rng.uniform(-7.0, 7.0, k)
+        a = rng.uniform(0.0, 1.0, k)
+        a[:12] = np.resize([0.0, 1e-12, 1.0], 12)
+        return rho, theta, a
+
+    @STEPS
+    def test_rows_equal_single_steps(self, step, make_state):
+        rho, theta, a = self._grid(make_state)
+        out = step(rho, theta, a)
+        assert out.shape == rho.shape
+        for i in range(len(rho)):
+            assert np.array_equal(out[i], step(rho[i], theta[i], a[i]))
+
+    @STEPS
+    def test_scalar_parameters_broadcast_over_the_stack(self, step, make_state):
+        rho, theta, a = self._grid(make_state)
+        for t, av in ((0.7, 0.3), (theta, 0.0), (0.7, a), (np.float64(0.7), 1.0)):
+            out = step(rho, t, av)
+            tb, ab = np.broadcast_to(t, len(rho)), np.broadcast_to(av, len(rho))
+            for i in range(len(rho)):
+                assert np.array_equal(out[i], step(rho[i], tb[i], ab[i]))
+
+    @STEPS
+    def test_one_state_broadcasts_over_parameters(self, step, make_state):
+        rho, theta, a = self._grid(make_state)
+        out = step(rho[1], theta.reshape(4, 10), a.reshape(4, 10))
+        assert out.shape == (4, 10, 3, 3)
+        for i, j in np.ndindex(4, 10):
+            assert np.array_equal(out[i, j], step(rho[1], theta[10 * i + j], a[10 * i + j]))
+
+    @STEPS
+    @pytest.mark.parametrize("case", list(INVALID_STATES))
+    def test_invalid_state_inside_a_stack(self, step, case, make_state):
+        bad, message = INVALID_STATES[case]
+        if np.shape(bad) == (3, 3):
+            stack = np.array([make_state() for _ in range(5)])
+            stack[3] = bad
+        else:
+            # a matrix of another shape cannot sit among 3x3 states
+            stack = np.array([bad, bad])
+            message = f"expected a 3x3 density matrix, got shape {stack.shape}"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            step(stack, 0.1, 0.5)
+
+    @STEPS
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan, math.inf], ids=str)
+    def test_bad_absorption_element_raises_its_scalar_message(self, step, bad, make_state):
+        rho, theta, a = self._grid(make_state)
+        a[7], a[30] = bad, 2.0
+        message = f"absorption probability must be in [0, 1], got {bad!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            step(rho, theta, a)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            step(rho[7], theta[7], bad)
+
+    @STEPS
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+    def test_non_finite_angle_element_raises_its_scalar_message(self, step, bad, make_state):
+        rho, theta, a = self._grid(make_state)
+        theta[19] = bad
+        for args in ((rho, theta, a), (rho[19], bad, a[19])):
+            with pytest.raises(ValueError, match="^angle must be finite$"):
+                step(*args)
+
+
 class TestChannelProperties:
     def test_trace_hermiticity_psd_preserved(self, make_state):
         rng = np.random.default_rng(10)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -193,3 +195,56 @@ class TestSwitchingAngle:
     def test_rejects_non_positive(self, bad):
         with pytest.raises(ValueError, match="positive"):
             switching_angle(bad)
+
+
+class TestStackedConstructors:
+    """Array arguments give (..., d, d) stacks, each matrix bit for bit the
+    scalar call's, and a bad element raises the scalar message."""
+
+    THETAS = np.random.default_rng(15).uniform(-7.0, 7.0, 24).reshape(4, 6)
+
+    @pytest.mark.parametrize("build", [rotator2, rotator3])
+    def test_rotators(self, build):
+        out = build(self.THETAS)
+        d = build(0.0).shape[-1]
+        assert out.shape == (4, 6, d, d)
+        for idx in np.ndindex(self.THETAS.shape):
+            assert np.array_equal(out[idx], build(float(self.THETAS[idx])))
+
+    def test_absorption(self):
+        a = np.concatenate([[0.0, 1e-12, 1.0], np.random.default_rng(16).uniform(0.0, 1.0, 21)])
+        out = absorption(a)
+        assert out.shape == (24, 3, 3)
+        for i, av in enumerate(a):
+            assert np.array_equal(out[i], absorption(float(av)))
+
+    def test_rotator_power_with_array_n(self):
+        n = np.arange(0, 401)
+        out = rotator_power(self.THETAS[0, :, None], n)
+        assert out.shape == (6, 401, 2, 2)
+        for i, j in np.ndindex(6, 401):
+            assert np.array_equal(out[i, j], rotator_power(float(self.THETAS[0, i]), int(n[j])))
+        scalar_theta = rotator_power(0.3, n)
+        for j in range(401):
+            assert np.array_equal(scalar_theta[j], rotator_power(0.3, int(n[j])))
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, np.nan, np.inf])
+    def test_rotator_power_rejects_a_bad_n_element(self, bad):
+        with pytest.raises(ValueError, match="^n must be a non-negative integer$"):
+            rotator_power(0.3, np.array([1.0, 4.0, bad, 7.0]))
+
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, np.nan, np.inf], ids=str)
+    def test_bad_absorption_element_raises_its_scalar_message(self, bad):
+        message = f"absorption probability must be in [0, 1], got {bad!r}"
+        for arg in (np.array([0.2, bad, 0.7, -5.0]), bad):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                absorption(arg)
+
+    @pytest.mark.parametrize("build", [rotator2, rotator3, lambda t: rotator_power(t, 3)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+    def test_non_finite_angle_element_raises_its_scalar_message(self, build, bad):
+        thetas = self.THETAS.copy()
+        thetas[2, 3] = bad
+        for arg in (thetas, bad):
+            with pytest.raises(ValueError, match="^angle must be finite$"):
+                build(arg)

@@ -22,6 +22,24 @@ EXPECTED_NAMES = [
     "oracle-concordance",
 ]
 
+PINNED_REPORT = (
+    "PASS operator-unitarity: max |U U^+ - I| = 2.220e-16 (tol 1e-13)\n"
+    "PASS projector-algebra: completeness, idempotence, orthogonality exact\n"
+    "PASS rotator-closed-form: power dev 7.711e-14 (tol 1e-12), "
+    "eigen reconstruction dev 2.220e-16 (tol 1e-13)\n"
+    "PASS kraus-completeness: max |sum K^+K - I| = 2.220e-16 (tol 1e-13)\n"
+    "PASS trace-preservation: max trace drift 2.228e-16 (tol 1e-13)\n"
+    "PASS positivity-preservation: max hermiticity dev 8.246e-17 (tol 1e-12), "
+    "min eigenvalue 1.293e-03 (floor -1e-10)\n"
+    "PASS absorbed-state-fixed-point: |B><B| invariant exactly, both models\n"
+    "PASS absorbed-population-monotone: max decrease 0.000e+00 (tol 1e-13)\n"
+    "PASS limiting-closed-forms: max closed-form deviation 1.510e-14 over N = 1..100 (tol 1e-10)\n"
+    "PASS perfect-switching: min p_v = 1.000000000000 over N = 1..100 with auto theta (needs >= 1-1e-10)\n"
+    "PASS model-equivalence-extremes: max step gap 0.000e+00 at a=0, 0.000e+00 at a=1 (tol 1e-12)\n"
+    "PASS oracle-concordance: max |z| = 2.250 over 3 cells at 20000 trajectories (tol 4)\n"
+    "all 12 checks passed\n"
+)
+
 
 def _by_name(results):
     return {r.name: r for r in results}
@@ -39,9 +57,15 @@ class TestRunChecks:
     def test_deterministic_report(self):
         assert render_report(run_checks()) == render_report(run_checks())
 
+    def test_report_is_pinned(self):
+        # Every figure of the healthy report, to the digits it prints.
+        assert render_report(run_checks()) == PINNED_REPORT
+
     def test_step_kernel_calls_per_run(self, monkeypatch):
-        # 200 shared samples, 200 for model-equivalence-extremes and 20 for
-        # absorbed-state-fixed-point; the shared samples are stepped once.
+        # Each kernel steps a stack: the 200 shared samples once, the 20 of
+        # absorbed-state-fixed-point once, and the 200 of
+        # model-equivalence-extremes once per absorption extreme.  A loop
+        # over samples would call each kernel hundreds of times.
         calls = {"step_coherent": 0, "step_collapse": 0}
         for name in calls:
             real = getattr(evolution, name)
@@ -52,7 +76,7 @@ class TestRunChecks:
 
             monkeypatch.setattr(evolution, name, counted)
         run_checks()
-        assert calls == {"step_coherent": 420, "step_collapse": 420}
+        assert calls == {"step_coherent": 4, "step_collapse": 4}
 
 
 class TestRenderReport:
@@ -91,7 +115,7 @@ class TestMutationSensitivity:
 
         def crooked(a):
             m = real_absorption(a)
-            m[1, 2] = -m[1, 2]
+            m[..., 1, 2] = -m[..., 1, 2]
             return m
 
         monkeypatch.setattr(ifmsim.operators, "absorption", crooked)
@@ -128,7 +152,7 @@ class TestMutationSensitivity:
 
         def leaky(a):
             m = real_absorption(a)
-            m[2, 1] *= 0.9
+            m[..., 2, 1] *= 0.9
             return m
 
         monkeypatch.setattr(ifmsim.operators, "absorption", leaky)
@@ -150,8 +174,8 @@ class TestMutationSensitivity:
         # only the absorbed population decreases.
         def leak_back(out):
             out = out.copy()
-            out[0, 0] += out[2, 2]
-            out[2, 2] = 0.0
+            out[..., 0, 0] += out[..., 2, 2]
+            out[..., 2, 2] = 0.0
             return out
 
         self._mutate_steps(monkeypatch, leak_back)
@@ -163,7 +187,7 @@ class TestMutationSensitivity:
     def test_nan_absorbed_population_caught_by_monotonicity(self, monkeypatch):
         def nan_b(out):
             out = out.copy()
-            out[2, 2] = np.nan
+            out[..., 2, 2] = np.nan
             return out
 
         self._mutate_steps(monkeypatch, nan_b)
