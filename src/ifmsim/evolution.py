@@ -43,10 +43,12 @@ per-cycle channel -- and N cycles are T**N applied to (1, 0, 0, 0), computed
 by repeated squaring in O(log N) matrix products.
 
 One private engine, ``_reduced``, computes those powers.  It stacks the
-maps of any number of absorptions at one (model, theta, N) and raises the
-whole stack in one ``matrix_power`` call, so a sweep pays the per-call cost
-once per cycle count rather than once per row; ``evolve`` is the one-row
-case.  A row's bits do not depend on the stack it is in.  The 3x3 step
+maps of G (theta, N) groups times K absorptions into one (G, K, 4, 4) array
+and raises it in one batched power, ``_power``: the whole stack is squared
+once per bit of the largest N, and each matrix takes exactly the products
+``np.linalg.matrix_power`` takes for its own N.  So a sweep makes one
+engine call, ``evolve`` is the 1x1 case, and a row's bits do not depend on
+the stack it is in.  The 3x3 step
 kernels ``step_coherent`` / ``step_collapse`` stay as the validated
 reference that the engine is tested against.  They take a (..., 3, 3)
 stack of states with angles and absorptions broadcast over it, validate the
@@ -56,6 +58,7 @@ is stepped.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -227,8 +230,79 @@ def step_collapse(rho, theta, a) -> np.ndarray:
     return out
 
 
-def _reduced(model: ParticleModel, theta: float, a_values, n: int) -> np.ndarray:
-    """The reduced states (h, c, v, b) after n cycles from |H><H|, one row per a.
+def _transfer_entries(model: ParticleModel, thetas, a_values):
+    """One 16-tuple per (theta, a) pair, theta outer: T(model, theta, a) row by row."""
+    collapse = model is ParticleModel.COLLAPSE
+    columns = []
+    for a in a_values:
+        keep = 1.0 - a
+        columns.append((a, keep, keep if collapse else math.sqrt(keep)))
+    for theta in thetas:
+        cos, sin = math.cos(theta), math.sin(theta)
+        cc, ss, cs = cos * cos, sin * sin, cos * sin
+        two_cs, diff = 2.0 * cs, cc - ss
+        for a, keep, q in columns:
+            # rows: u_HH, q u_HV, (1-a) u_VV, b + a u_VV
+            yield (
+                cc, -two_cs, ss, 0.0,
+                q * cs, q * diff, -q * cs, 0.0,
+                keep * ss, keep * two_cs, keep * cc, 0.0,
+                a * ss, a * two_cs, a * cc, 1.0,
+            )
+
+
+def _power(t: np.ndarray, ns) -> np.ndarray:
+    """t[g] raised to the ns[g]-th power for a (G, K, 4, 4) stack t and G positive ints ns.
+
+    Every matrix goes through the products ``np.linalg.matrix_power`` makes
+    for its own count, so each result is bit for bit that function's: n = 1
+    is T, n = 2 is T·T, n = 3 is (T·T)·T, and a larger n runs over its bits
+    lowest first, squaring Z = T**(2**level) and multiplying it into the
+    power P (P·Z) at each set bit, the first set bit starting P as Z.  The
+    whole stack is squared once per level up to the largest count's top
+    bit; a level touches P only at the groups whose count has that bit set,
+    through fancy indexing unless that is every group.
+    """
+    groups = len(ns)
+    # level -> the groups whose P starts there, takes P·Z, or takes Z·P
+    plan = {}
+    for g, n in enumerate(ns):
+        kind, rest = 0, n
+        while rest:
+            bit = rest & -rest
+            level = bit.bit_length() - 1
+            work = plan.get(level)
+            if work is None:
+                work = plan[level] = ([], [], [])
+            work[kind].append(g)
+            kind = 2 if n == 3 else 1  # the n = 3 shortcut multiplies as Z·P
+            rest ^= bit
+    z, p, squared = t, None, 0
+    del t  # so that the first squaring frees the input stack
+    for level in sorted(plan):
+        while squared < level:
+            z = z @ z
+            squared += 1
+        starts, products, threes = plan[level]
+        if len(starts) == groups:
+            p = z
+        elif starts:
+            if p is None:
+                p = np.empty_like(z)
+            p[starts] = z[starts]
+        if len(products) == groups:
+            p = p @ z
+        elif products:
+            p[products] = p[products] @ z[products]
+        if len(threes) == groups:
+            p = z @ p
+        elif threes:
+            p[threes] = z[threes] @ p[threes]
+    return p
+
+
+def _reduced(model: ParticleModel, thetas, a_values, ns) -> np.ndarray:
+    """The reduced states (h, c, v, b) after ns[g] cycles at angle thetas[g], per a.
 
     One cycle is a real 4x4 map T(model, theta, a) on (h, c, v, b).  With
     u = R rho R^T the rotated {H, V} block, both models keep u_HH, keep
@@ -236,34 +310,26 @@ def _reduced(model: ParticleModel, theta: float, a_values, n: int) -> np.ndarray
     q: sqrt(1-a) for the coherent absorber (an amplitude), 1-a for the
     collapse model (a mixture of no-op and which-arm measurement).
 
-    The maps of every absorption in `a_values` go into one (k, 4, 4) stack
-    and one matrix_power call raises them all to the n-th power; column 0 of
-    each power is T**n (1, 0, 0, 0).  matrix_power runs the same product
-    sequence on every matrix of a stack as on a single matrix, so a row does
-    not depend on the other rows of its stack.  Returns a (k, 4) array.
+    Group g pairs a cycle count with its angle; every (g, absorption)
+    matrix goes into one (G, K, 4, 4) stack, built straight from the
+    entries, and ``_power`` raises the whole stack at once.  Column 0 of
+    each power is T**n (1, 0, 0, 0).  A row's product sequence depends only
+    on its own count, so it does not depend on the other rows of its stack.
+    Returns a (G, K, 4) array.
     """
-    cos, sin = math.cos(theta), math.sin(theta)
-    cc, ss, cs = cos * cos, sin * sin, cos * sin
-    two_cs, diff = 2.0 * cs, cc - ss
-    collapse = model is ParticleModel.COLLAPSE
-    stack = []
-    for a in a_values:
-        keep = 1.0 - a
-        q = keep if collapse else math.sqrt(keep)
-        stack.append(
-            [
-                [cc, -two_cs, ss, 0.0],  # u_HH
-                [q * cs, q * diff, -q * cs, 0.0],  # q u_HV
-                [keep * ss, keep * two_cs, keep * cc, 0.0],  # (1-a) u_VV
-                [a * ss, a * two_cs, a * cc, 1.0],  # b + a u_VV
-            ]
-        )
-    return np.linalg.matrix_power(np.array(stack), n)[:, :, 0]
+    shape = (len(thetas), len(a_values), 4, 4)
+    entries = itertools.chain.from_iterable(_transfer_entries(model, thetas, a_values))
+    return _power(np.fromiter(entries, float, math.prod(shape)).reshape(shape), ns)[..., 0]
 
 
 def _clamped(diagonal) -> Probabilities:
     """(p_h, p_v, p_b) from a diagonal, with dust within _CLAMP_TOL below 0 set to 0."""
-    return Probabilities(*(0.0 if -_CLAMP_TOL <= p < 0.0 else float(p) for p in diagonal))
+    p_h, p_v, p_b = diagonal
+    return Probabilities(
+        0.0 if -_CLAMP_TOL <= p_h < 0.0 else float(p_h),
+        0.0 if -_CLAMP_TOL <= p_v < 0.0 else float(p_v),
+        0.0 if -_CLAMP_TOL <= p_b < 0.0 else float(p_b),
+    )
 
 
 def evolve(config: CycleConfig) -> tuple[Probabilities, np.ndarray]:
@@ -275,7 +341,8 @@ def evolve(config: CycleConfig) -> tuple[Probabilities, np.ndarray]:
     log n; the result agrees with iterating ``step_coherent`` /
     ``step_collapse`` n times to within floating-point rounding.
     """
-    h, c, v, b = _reduced(config.model, config.resolved_theta(), (config.a,), config.n)[0]
+    theta = config.resolved_theta()
+    h, c, v, b = _reduced(config.model, (theta,), (config.a,), (config.n,))[0, 0]
     rho = np.zeros((3, 3), dtype=complex)
     rho[0, 0], rho[1, 1], rho[2, 2] = h, v, b
     rho[0, 1] = rho[1, 0] = c
@@ -294,14 +361,29 @@ def probabilities(rho) -> Probabilities:
     return _clamped(m.diagonal().real)
 
 
+def _finite_angle(theta) -> float:
+    """`theta` as a float; ValueError with rotator_power's message unless it is finite."""
+    t = float(theta)
+    if not math.isfinite(t):
+        raise ValueError("angle must be finite")
+    return t
+
+
 def closed_form_no_particle(theta: float, n: int) -> Probabilities:
     """Exact outcome probabilities with nothing in the arm: n plain rotations.
 
     (cos^2(n theta), sin^2(n theta), 0); the accumulated angle is reduced
-    modulo 2*pi before the trig evaluation.
+    modulo 2*pi before the trig evaluation.  ValueError if theta is not
+    finite or n*theta is beyond the float range.
     """
     n = operators._check_float_count(n, 0, "n must be a non-negative integer")
-    phi = math.fmod(n * float(theta), 2.0 * math.pi)
+    angle = _finite_angle(theta) * n
+    if not math.isfinite(angle):
+        raise ValueError(
+            "accumulated angle n*theta must be no larger in magnitude than "
+            f"{operators._MAX_COUNT!r}"
+        )
+    phi = math.fmod(angle, 2.0 * math.pi)
     c, s = math.cos(phi), math.sin(phi)
     return Probabilities(c * c, s * s, 0.0)
 
@@ -310,12 +392,13 @@ def closed_form_perfect_absorber(theta: float, n: int) -> Probabilities:
     """Exact outcome probabilities against a perfect absorber (a = 1).
 
     Each cycle the photon survives in |H> with probability cos^2(theta), so
-    (cos^{2n}(theta), 0, 1 - cos^{2n}(theta)).
+    (cos^{2n}(theta), 0, 1 - cos^{2n}(theta)).  ValueError if theta is not
+    finite.
     """
     n = operators._check_float_count(n, 0, "n must be a non-negative integer")
     # 2.0 * n rounds as 2 * n does; near the count limit it is inf rather
     # than an OverflowError, and cos**inf is the power's limit
-    p_h = math.cos(float(theta)) ** (2.0 * n)
+    p_h = math.cos(_finite_angle(theta)) ** (2.0 * n)
     return Probabilities(p_h, 0.0, 1.0 - p_h)
 
 

@@ -4,9 +4,9 @@ Three sweep shapes cover the standard plots: probability versus cycle count
 at fixed absorption, probability versus absorption at fixed cycle count, and
 the full (absorption x cycles) grid for heatmaps.  Records are emitted in
 deterministic (a, n) order.  Parameters are checked once, one CycleConfig
-per absorption, and each cycle count makes one stacked call of the
-evolution engine over every absorption; a row is bit for bit the record
-``run_single`` gives for its own configuration.
+per absorption, and one call of the evolution engine raises the transfer
+matrices of every (a, n) row as one batched power; a row is bit for bit the
+record ``run_single`` gives for its own configuration.
 
 CSV contract: header ``model,a,n,theta,p_h,p_v,p_b``; every real is rendered
 with 17 significant digits (positional notation for magnitudes in
@@ -60,36 +60,33 @@ class SweepRecord:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
 
 
-def _block(model: ParticleModel, theta: float, a_values, n: int) -> list[SweepRecord]:
-    """One record per absorption at one cycle count, from one stacked engine call."""
-    states = _reduced(model, theta, a_values, n).tolist()
-    return [
-        SweepRecord(model.value, a, n, theta, *_clamped((h, v, b)))
-        for a, (h, _, v, b) in zip(a_values, states)
-    ]
-
-
 def run_single(config: CycleConfig) -> SweepRecord:
     """Evaluate one configuration into a record."""
-    return _block(config.model, config.resolved_theta(), (config.a,), config.n)[0]
+    theta = config.resolved_theta()
+    h, _, v, b = _reduced(config.model, (theta,), (config.a,), (config.n,))[0, 0].tolist()
+    return SweepRecord(config.model.value, config.a, config.n, theta, *_clamped((h, v, b)))
 
 
 def _records(a_values, n_values, model, theta) -> list[SweepRecord]:
     """One record per (a, n), absorption outer and cycles inner.
 
     One CycleConfig per absorption checks the parameters, raising what the
-    first failing row's own CycleConfig would; then each cycle count makes
-    one engine call over all absorptions.
+    first failing row's own CycleConfig would; then one engine call raises
+    the transfer matrices of every (n, a) pair at once.
     """
     configs = [CycleConfig(model=model, a=a, n=n_values[0], theta=theta) for a in a_values]
     first = configs[0]
     a_eff = [c.a for c in configs]
     # CycleConfig returned n_values[0] as an int; _cycle_counts made the rest
-    blocks = [
-        _block(first.model, switching_angle(n) if theta is None else first.theta, a_eff, n)
-        for n in (first.n, *n_values[1:])
+    ns = [first.n, *n_values[1:]]
+    thetas = [switching_angle(n) if theta is None else first.theta for n in ns]
+    # (h, v, b) x absorption x cycles: one list per column rather than one per row
+    h, v, b = _reduced(first.model, thetas, a_eff, ns)[:, :, (0, 2, 3)].T.tolist()
+    return [
+        SweepRecord(first.model.value, a, n, t, *_clamped((p_h, p_v, p_b)))
+        for a, hs, vs, bs in zip(a_eff, h, v, b)
+        for n, t, p_h, p_v, p_b in zip(ns, thetas, hs, vs, bs)
     ]
-    return [block[i] for i in range(len(a_eff)) for block in blocks]
 
 
 def _cycle_counts(n_max) -> range:

@@ -192,16 +192,29 @@ def _check_absorbed_monotone(rhos, outs) -> CheckResult:
     )
 
 
+_SWITCHING_COUNTS = range(1, 101)
+
+
+def _switching_angles() -> list[float]:
+    return [operators.switching_angle(n) for n in _SWITCHING_COUNTS]
+
+
+def _switching_rows(model, a, thetas) -> list[evolution.Probabilities]:
+    """Probabilities after N = 1..100 cycles at angles `thetas`, from one engine call."""
+    states = evolution._reduced(model, thetas, (a,), _SWITCHING_COUNTS)[:, 0].tolist()
+    return [evolution._clamped((h, v, b)) for h, _, v, b in states]
+
+
 def _check_limiting_closed_forms() -> CheckResult:
-    evolved, exact = [], []
-    for n in range(1, 101):
-        absent = evolution.CycleConfig(model=evolution.ParticleModel.ABSENT, a=0.0, n=n)
-        theta = absent.resolved_theta()
-        evolved.append(evolution.evolve(absent)[0])
-        exact.append(evolution.closed_form_no_particle(theta, n))
-        bomb = evolution.CycleConfig(model=evolution.ParticleModel.COHERENT, a=1.0, n=n)
-        evolved.append(evolution.evolve(bomb)[0])
-        exact.append(evolution.closed_form_perfect_absorber(theta, n))
+    thetas = _switching_angles()
+    evolved = [
+        *_switching_rows(evolution.ParticleModel.ABSENT, 0.0, thetas),
+        *_switching_rows(evolution.ParticleModel.COHERENT, 1.0, thetas),
+    ]
+    exact = [
+        *map(evolution.closed_form_no_particle, thetas, _SWITCHING_COUNTS),
+        *map(evolution.closed_form_perfect_absorber, thetas, _SWITCHING_COUNTS),
+    ]
     dev = np.abs(np.array(evolved) - np.array(exact)).max()
     return CheckResult(
         "limiting-closed-forms",
@@ -211,11 +224,8 @@ def _check_limiting_closed_forms() -> CheckResult:
 
 
 def _check_perfect_switching() -> CheckResult:
-    min_pv = 1.0
-    for n in range(1, 101):
-        cfg = evolution.CycleConfig(model=evolution.ParticleModel.ABSENT, a=0.0, n=n)
-        probs, _ = evolution.evolve(cfg)
-        min_pv = min(min_pv, probs.p_v)
+    rows = _switching_rows(evolution.ParticleModel.ABSENT, 0.0, _switching_angles())
+    min_pv = min(1.0, *(p.p_v for p in rows))
     return CheckResult(
         "perfect-switching",
         min_pv >= 1.0 - 1e-10,

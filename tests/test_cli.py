@@ -1,3 +1,4 @@
+import hashlib
 import shutil
 import subprocess
 import sys
@@ -48,6 +49,25 @@ class TestRun:
         assert cli.main(["run", "--cycles", "5", "--out", str(path)]) == 0
         capsys.readouterr()
         assert path.read_bytes() == out.encode()
+
+
+# stdout SHA-256 prefixes of sweep and run commands; each engine change must keep
+# these bytes or say which rows moved and why
+PINNED_STDOUT = {
+    "grid --cycles 250 --steps 21": "7df35a92ec8b",
+    "grid --cycles 250 --steps 21 --model collapse": "f3226b4bce85",
+    "grid --cycles 64 --steps 7 --theta 2.5 --model absent": "2133396a2dc6",
+    "sweep-cycles --cycles 300 --absorption 1 --model collapse": "e30c70494c35",
+    "sweep-absorption --cycles 3 --steps 11 --model collapse": "6640a0bbf0f7",
+    "run --cycles 3 --absorption 1 --model collapse": "fba4e16db26f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_pinned_stdout(capsys, command):
+    code, out = _run(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == PINNED_STDOUT[command]
 
 
 class TestSweepCommands:

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -419,28 +420,61 @@ def _transfer_matrix(model, theta, a):
     )
 
 
+def _assert_same_bits(row, expected, context):
+    assert np.array_equal(row, expected), context
+    assert np.array_equal(np.signbit(row), np.signbit(expected)), context
+
+
 class TestStackedEngine:
-    """Each row of a stacked power equals the 2-D power of its own matrix, bit for bit."""
+    """Each row of a stacked power equals the 2-D matrix_power of its own matrix, bit for bit."""
 
     ABSORPTIONS = (0.0, 1e-12, 0.3, 0.5, 1.0 - 1e-9, 1.0)
     THETAS = (None, 0.3, 2.5, -2.5)
     # every shortcut of matrix_power (n = 1, 2, 3) and both parities of its squaring loop
     COUNTS = (1, 2, 3, 4, 5, 7, 8, 16, 17, 250, 1000)
 
+    def _assert_rows_are_powers(self, model, thetas, ns, rows):
+        assert rows.shape == (len(ns), len(self.ABSORPTIONS), 4)
+        for t, n, group in zip(thetas, ns, rows):
+            for a, row in zip(self.ABSORPTIONS, group):
+                single = np.linalg.matrix_power(_transfer_matrix(model, t, a), n)[:, 0]
+                _assert_same_bits(row, single, (a, t, n))
+
     @pytest.mark.parametrize("model", list(ParticleModel), ids=lambda m: m.value)
     def test_rows_equal_single_matrix_powers(self, model):
         for theta in self.THETAS:
             for n in self.COUNTS:
                 t = switching_angle(n) if theta is None else theta
-                rows = _reduced(model, t, self.ABSORPTIONS, n)
-                assert rows.shape == (len(self.ABSORPTIONS), 4)
-                for a, row in zip(self.ABSORPTIONS, rows):
-                    single = np.linalg.matrix_power(_transfer_matrix(model, t, a), n)[:, 0]
-                    assert np.array_equal(row, single), (a, theta, n)
+                rows = _reduced(model, (t,), self.ABSORPTIONS, (n,))
+                self._assert_rows_are_powers(model, (t,), (n,), rows)
+
+    @pytest.mark.parametrize("model", list(ParticleModel), ids=lambda m: m.value)
+    def test_shuffled_mixed_counts_in_one_call(self, model):
+        groups = [
+            (switching_angle(n) if theta is None else theta, n)
+            for n in self.COUNTS
+            for theta in self.THETAS
+        ]
+        np.random.default_rng(12).shuffle(groups)
+        thetas, ns = zip(*groups)
+        rows = _reduced(model, thetas, self.ABSORPTIONS, ns)
+        self._assert_rows_are_powers(model, thetas, ns, rows)
+
+    def test_equal_counts_share_every_level(self):
+        # every level selects all groups or none, so the stack is never gathered
+        thetas = (0.3, 2.5, -2.5)
+        for n in self.COUNTS:
+            rows = _reduced(ParticleModel.COLLAPSE, thetas, self.ABSORPTIONS, (n,) * 3)
+            self._assert_rows_are_powers(ParticleModel.COLLAPSE, thetas, (n,) * 3, rows)
+
+    def test_counts_beyond_int64(self):
+        model, n = ParticleModel.COHERENT, 2**70 + 3
+        single = np.linalg.matrix_power(_transfer_matrix(model, 1e-22, 0.5), n)[:, 0]
+        _assert_same_bits(_reduced(model, (1e-22,), (0.5,), (n,))[0, 0], single, n)
 
     def test_evolve_reads_the_engine_row(self):
         cfg = CycleConfig(model="collapse", a=0.3, n=17, theta=2.5)
-        h, c, v, b = _reduced(cfg.model, 2.5, (0.3,), 17)[0]
+        h, c, v, b = _reduced(cfg.model, (2.5,), (0.3,), (17,))[0, 0]
         probs, rho = evolve(cfg)
         assert tuple(probs) == (h, v, b)
         assert (rho[0, 0], rho[0, 1], rho[1, 0], rho[1, 1], rho[2, 2]) == (h, c, c, v, b)
@@ -498,6 +532,22 @@ class TestClosedForms:
             probs, _ = evolve(CycleConfig(model="coherent", a=1.0, n=n, theta=theta))
             expected = closed_form_perfect_absorber(theta, n)
             assert np.abs(np.asarray(probs) - np.asarray(expected)).max() <= 1e-12
+
+    def test_no_particle_angle_beyond_the_float_range_names_the_limit(self):
+        limit = (
+            "accumulated angle n*theta must be no larger in magnitude than "
+            "1.7976931348623157e+308"
+        )
+        for theta in (7.0, -7.0):
+            with pytest.raises(ValueError, match="^" + re.escape(limit) + "$"):
+                closed_form_no_particle(theta, int(sys.float_info.max))
+        assert closed_form_no_particle(0.3, int(sys.float_info.max)).p_b == 0.0
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("fn", [closed_form_no_particle, closed_form_perfect_absorber])
+    def test_rejects_non_finite_theta(self, fn, theta):
+        with pytest.raises(ValueError, match="^angle must be finite$"):
+            fn(theta, 3)
 
     @pytest.mark.parametrize("fn", [closed_form_no_particle, closed_form_perfect_absorber])
     def test_rejects_negative_n(self, fn):

@@ -154,7 +154,7 @@ class TestSweepGrid:
 
 
 class TestStackedSweeps:
-    """Sweeps evaluate every absorption of a cycle count in one engine call."""
+    """A sweep evaluates all of its (a, n) rows in one engine call."""
 
     ABSORPTIONS = (0.0, 1e-12, 0.3, 0.5, 1.0 - 1e-9, 1.0)
     THETAS = (None, 0.3, 2.5, -2.5)
@@ -187,20 +187,30 @@ class TestStackedSweeps:
             ):
                 self._assert_rows_equal_run_single(records, model, theta)
 
-    def test_one_matrix_power_per_cycle_count(self, monkeypatch):
+    def test_one_engine_call_per_sweep(self, monkeypatch):
         calls = []
-        power = np.linalg.matrix_power
+        engine = sweep._reduced
 
-        def counted(a, n):
-            calls.append(n)
-            return power(a, n)
+        def counted(model, thetas, a_values, ns):
+            calls.append((len(thetas), len(a_values), list(ns)))
+            return engine(model, thetas, a_values, ns)
 
-        monkeypatch.setattr(np.linalg, "matrix_power", counted)
+        def unused(*args):
+            raise AssertionError("the engine does not call np.linalg.matrix_power")
+
+        monkeypatch.setattr(sweep, "_reduced", counted)
+        monkeypatch.setattr(np.linalg, "matrix_power", unused)
         sweep_grid(12, 5, "coherent")
-        assert calls == list(range(1, 13))
+        assert calls == [(12, 5, list(range(1, 13)))]
         calls.clear()
         sweep_absorption(50, 101, "collapse")
-        assert calls == [50]
+        assert calls == [(1, 101, [50])]
+        calls.clear()
+        sweep_cycles(0.5, 40, "collapse", theta=0.3)
+        assert calls == [(40, 1, list(range(1, 41)))]
+        calls.clear()
+        run_single(CycleConfig(model="coherent", a=0.5, n=24))
+        assert calls == [(1, 1, [24])]
 
     @pytest.mark.parametrize(
         "a,n,model,theta",
