@@ -402,16 +402,21 @@ def closed_form_perfect_absorber(theta: float, n: int) -> Probabilities:
     return Probabilities(p_h, 0.0, 1.0 - p_h)
 
 
-def kraus_operators(model: ParticleModel, theta: float, a: float) -> list[np.ndarray]:
+def kraus_operators(model: ParticleModel, theta, a) -> list[np.ndarray]:
     """The Kraus set whose map equals one cycle of the given model.
 
     Satisfies sum_i K_i^+ K_i = I; applying sum_i K_i rho K_i^+ reproduces
-    the corresponding step function exactly.
+    the corresponding step function exactly.  `theta` and `a` are scalars
+    or arrays broadcast against each other: each operator is then a
+    (..., 3, 3) stack, one matrix per element, bit for bit that element's
+    scalar call.  A scalar call gives (3, 3) matrices through the same
+    code.  Every returned array is fresh and writable.
     """
     model = ParticleModel(model)
-    a = operators._check_probability(a)  # checked for every model, as CycleConfig does
-    a_eff = 0.0 if model is ParticleModel.ABSENT else a
-    m_b = operators.projector(operators.Basis.B)
+    av = operators._check_probabilities(a)  # checked for every model, as CycleConfig does
+    a_eff = np.zeros_like(av) if model is ParticleModel.ABSENT else av
+    m_b = np.zeros(np.broadcast_shapes(np.shape(theta), av.shape) + (3, 3), dtype=complex)
+    m_b[..., operators.Basis.B, operators.Basis.B] = 1.0
     m_nb = operators.projector(operators.NOT_B)
     if model is ParticleModel.COLLAPSE:
         u_nb = operators.rotator3(theta) @ m_nb
@@ -420,9 +425,9 @@ def kraus_operators(model: ParticleModel, theta: float, a: float) -> list[np.nda
         s[operators.Basis.B, operators.Basis.V] = 1.0
         return [
             m_b,
-            math.sqrt(1.0 - a_eff) * u_nb,
-            math.sqrt(a_eff) * (m_h @ u_nb),
-            math.sqrt(a_eff) * (s @ u_nb),
+            np.sqrt(1.0 - a_eff)[..., None, None] * u_nb,
+            np.sqrt(a_eff)[..., None, None] * (m_h @ u_nb),
+            np.sqrt(a_eff)[..., None, None] * (s @ u_nb),
         ]
     # coherent (and absent): survivor branch followed by {B, not-B} dephasing
     branch = operators.absorption(a_eff) @ operators.rotator3(theta) @ m_nb

@@ -21,7 +21,9 @@ Operators built here:
 arrays (``rotator_power`` broadcasts its angle against its count) and
 return a ``(..., d, d)`` stack, one matrix per element, each bit for bit
 the matrix of that element's scalar call.  A scalar argument gives one
-``(d, d)`` matrix through the same code.
+``(d, d)`` matrix through the same code.  ``rotator_eigen`` takes arrays
+the same way: its values are a ``(..., 2)`` and its vectors a
+``(..., 2, 2)`` stack.
 """
 
 from __future__ import annotations
@@ -154,21 +156,24 @@ def rotator2(theta) -> np.ndarray:
 class EigenDecomposition:
     """Eigenvalues and matching unit eigenvectors (as columns) of a 2x2 matrix."""
 
-    values: np.ndarray  # shape (2,)
-    vectors: np.ndarray  # shape (2, 2); vectors[:, k] pairs with values[k]
+    values: np.ndarray  # shape (..., 2)
+    vectors: np.ndarray  # shape (..., 2, 2); vectors[..., :, k] pairs with values[..., k]
 
 
-def rotator_eigen(theta: float) -> EigenDecomposition:
+def rotator_eigen(theta) -> EigenDecomposition:
     """Closed-form eigendecomposition of ``rotator2(theta)``.
 
     The eigenvalues are exp(-i*theta) and exp(+i*theta), paired with the
     eigenvectors (1, i)/sqrt(2) and (1, -i)/sqrt(2).  The first component of
     each eigenvector is real and positive, which fixes the overall phase.
+    An array of angles gives one decomposition per element, stacked; both
+    arrays are fresh and writable.
     """
-    t = float(_check_angle(theta))
-    values = np.array([np.exp(-1j * t), np.exp(1j * t)])
+    t = _check_angle(theta)
+    values = np.stack([np.exp(-1j * t), np.exp(1j * t)], axis=-1)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    vectors = np.array([[inv_sqrt2, inv_sqrt2], [1j * inv_sqrt2, -1j * inv_sqrt2]])
+    vectors = np.empty(t.shape + (2, 2), dtype=complex)
+    vectors[...] = [[inv_sqrt2, inv_sqrt2], [1j * inv_sqrt2, -1j * inv_sqrt2]]
     return EigenDecomposition(values=values, vectors=vectors)
 
 

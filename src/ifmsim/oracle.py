@@ -24,13 +24,15 @@ keep no amplitudes per trajectory.  All trajectories see the same operators,
 so the amplitude a survivor holds is a function of how many cycles it has
 seen (coherent) or of how many cycles have passed since its last collapse
 (collapse).  Every operator is real, so that amplitude is a real 2-vector
-(h, v), and one table per run holds it: cut_b[j], the cut of the absorption
-weight in cycle j; cut_v[k], the cut of v^2 after k cycles; and norm_err[k],
-the running norm check, with entry 0 the starting |H>.  The coherent model
-builds it at its own a; the collapse model at a = 0, since between
-measurements nothing absorbs.  A coherent trajectory carries only its key;
-a collapse trajectory carries its stream position (key and draw counter in
-one word, key + (j+1)*PHI for its next draw j) and its table index k.
+(h, v), and one table per run holds what its kernel reads of it.  The
+coherent model builds it at its own a and keeps cut_b[j], the cut of the
+absorption weight in cycle j, and the cut of v^2 after the last cycle.  The
+collapse model builds it at a = 0, since between measurements nothing
+absorbs, and keeps cut_v[k], the cut of v^2 after k cycles.  Both keep
+norm_err[k], the running norm check; entry 0 is the starting |H>.  A
+coherent trajectory carries only its key; a collapse trajectory carries its
+stream position (key and draw counter in one word, key + (j+1)*PHI for its
+next draw j) and its table index k.
 estimate() streams trajectory indices through the kernels in fixed-size
 chunks and sums their counts, so memory stays bounded however many
 trajectories are asked for.
@@ -131,11 +133,15 @@ def _cut(p):
 class _Table:
     """The amplitude every survivor shares, k cycles after it was last |H>.
 
-    cut_b[j] is _cut of the Born probability of absorption in cycle j; the
-    table stops early at a cycle that absorbs every survivor (weight 1.0,
-    cut 2**53).  cut_v[k] is _cut of |amp_V|^2 and norm_err[k] the largest
-    |norm^2 - 1| of the renormalized amplitudes after 0..k cycles; entry 0
-    is |H> itself, so cut_v[0] = 0 and norm_err[0] = 0.0.
+    Each model keeps only the columns its kernel reads.  cut_b[j] is _cut
+    of the Born probability of absorption in cycle j; the table stops early
+    at a cycle that absorbs every survivor (weight 1.0, cut 2**53).  The
+    collapse table, built at a = 0, leaves cut_b empty.  cut_v[k] is _cut of
+    |amp_V|^2 after k cycles in the collapse table; the coherent table keeps
+    only the entry after its last full cycle, as cut_v[-1].  norm_err[k] is
+    the largest |norm^2 - 1| of the renormalized amplitudes after 0..k
+    cycles.  Entry 0 is |H> itself, so norm_err[0] = 0.0 and, in the
+    collapse table, cut_v[0] = 0.
     """
 
     cut_b: np.ndarray
@@ -143,12 +149,14 @@ class _Table:
     norm_err: np.ndarray
 
 
-def _table(n: int, theta: float, a: float) -> _Table:
+def _table(n: int, theta: float, a: float, collapse: bool) -> _Table:
     """Walk the survivor amplitude (h, v) through up to n cycles at absorption a.
 
     Each cycle rotates by theta, records the absorption weight a*v^2, keeps
     sqrt(1-a)*v and renormalizes.  All amplitudes are real, so two floats
-    carry them.
+    carry them.  The collapse table records v^2 after every cycle and no
+    weights; the coherent table records every weight and v^2 after the
+    last cycle only.
     """
     c, s = math.cos(theta), math.sin(theta)
     keep = math.sqrt(1.0 - a)
@@ -164,8 +172,11 @@ def _table(n: int, theta: float, a: float) -> _Table:
             weights.append(1.0)  # no draw in [0, 1) survives this cycle
             break
         h, v = h / norm, v / norm
-        weights.append(w)
-        p_v.append(v * v)
+        if collapse:
+            p_v.append(v * v)
+        else:
+            weights.append(w)
+            p_v[0] = v * v
         errs.append(abs(h * h + v * v - 1.0))
     return _Table(_cut(weights), _cut(p_v), np.maximum.accumulate(errs))
 
@@ -265,7 +276,7 @@ def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _Table):
 def _runner(cycle: CycleConfig):
     """The trajectory kernel of `cycle`: keys -> (counts, max norm error)."""
     collapse = cycle.model is ParticleModel.COLLAPSE
-    table = _table(cycle.n, cycle.resolved_theta(), 0.0 if collapse else cycle.a)
+    table = _table(cycle.n, cycle.resolved_theta(), 0.0 if collapse else cycle.a, collapse)
     if collapse:
         cut_a = _cut(cycle.a)
         return lambda keys: _run_collapse(keys, cycle.n, cut_a, table)

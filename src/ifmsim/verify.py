@@ -6,12 +6,12 @@ model equivalence at the extremes, Monte Carlo concordance).  All sampling
 is seeded, so two runs produce byte-identical reports.
 
 Seeded samples are drawn one at a time, in a fixed order, and then
-stepped, multiplied and reduced as stacks: the step kernels and operator
-constructors take (..., d, d) stacks, so no check loops over its samples to
-call them.  The trace, positivity and absorbed-population checks share one
-set of step outputs: ``run_checks`` runs both step kernels on the same
-seeded samples once per call and hands the stacked states to those three
-checks.
+built, stepped, multiplied and reduced as stacks: the step kernels, the
+Kraus sets and the operator constructors take (..., d, d) stacks, so no
+check loops over its samples to call them.  The trace, positivity and
+absorbed-population checks share one set of step outputs: ``run_checks``
+runs both step kernels on the same seeded samples once per call and hands
+the stacked states to those three checks.
 
 Operators and evolution steps are reached through their modules on purpose:
 replacing, say, ``operators.absorption`` with a broken variant makes the
@@ -39,12 +39,6 @@ class CheckResult:
     detail: str
 
 
-def _random_state(rng) -> np.ndarray:
-    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def _random_params(rng) -> tuple[float, float]:
     return float(rng.uniform(0.0, np.pi)), float(rng.uniform(0.0, 1.0))
 
@@ -57,6 +51,24 @@ def _stacked(samples) -> list[np.ndarray]:
 def _dagger(m) -> np.ndarray:
     """Conjugate transpose of every matrix of a (..., d, d) stack."""
     return m.conj().swapaxes(-1, -2)
+
+
+def _random_states(rng, count: int, *ranges) -> tuple[np.ndarray, ...]:
+    """`count` seeded samples: one float array per (lo, hi) range, then their states.
+
+    Each sample draws one uniform per range, in order, then the 18 normals
+    of G = N0 + i N1; its state is G G^+ at unit trace.  Only the draws
+    loop over the samples: the states are built as one (count, 3, 3) stack.
+    """
+    params = np.empty((len(ranges), count))
+    normals = np.empty((count, 2, 3, 3))
+    for i in range(count):
+        params[:, i] = [rng.uniform(lo, hi) for lo, hi in ranges]
+        normals[i] = rng.normal(size=(2, 3, 3))
+    g = normals[:, 0] + 1j * normals[:, 1]
+    rho = g @ _dagger(g)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    return (*params, rho)
 
 
 def _check_operator_unitarity() -> CheckResult:
@@ -97,15 +109,15 @@ def _check_rotator_closed_form() -> CheckResult:
     # gaps[n - 1]: the closed-form n-th power less the product of n left
     # multiplications by r1, for every angle at once
     gaps = operators.rotator_power(thetas, np.arange(1, 401)[:, None])
-    acc = np.broadcast_to(np.eye(2, dtype=complex), r1.shape)
-    for n in range(400):
-        acc = r1 @ acc
-        gaps[n] -= acc
+    acc = np.empty_like(gaps)  # acc[n - 1]: n left multiplications by r1
+    np.matmul(r1, np.eye(2, dtype=complex), out=acc[0])
+    for n in range(1, 400):
+        np.matmul(r1, acc[n - 1], out=acc[n])
+    gaps -= acc
     power_dev = np.abs(gaps).max()
     thetas = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
-    eigs = [operators.rotator_eigen(theta) for theta in thetas]
-    values = np.array([eig.values for eig in eigs])  # (100, 2)
-    vectors = np.array([eig.vectors for eig in eigs])  # (100, 2, 2)
+    eig = operators.rotator_eigen(thetas)
+    values, vectors = eig.values, eig.vectors  # (100, 2), (100, 2, 2)
     # sum over k of values[k] * outer(v_k, v_k^*), for every angle at once
     terms = values[:, None, None, :] * (vectors[:, :, None, :] * vectors.conj()[:, None, :, :])
     recon_dev = np.abs(terms.sum(axis=-1) - operators.rotator2(thetas)).max()
@@ -120,14 +132,11 @@ def _check_rotator_closed_form() -> CheckResult:
 
 def _check_kraus_completeness() -> CheckResult:
     rng = np.random.default_rng(_RNG_SEED + 1)
-    eye3 = np.eye(3)
     dev = 0.0
     for model in (evolution.ParticleModel.COHERENT, evolution.ParticleModel.COLLAPSE):
-        for _ in range(25):
-            theta, a = _random_params(rng)
-            ks = evolution.kraus_operators(model, theta, a)
-            total = sum(k.conj().T @ k for k in ks)
-            dev = max(dev, np.abs(total - eye3).max())
+        theta, a = _stacked(_random_params(rng) for _ in range(25))
+        total = sum(_dagger(k) @ k for k in evolution.kraus_operators(model, theta, a))
+        dev = max(dev, np.abs(total - np.eye(3)).max())
     return CheckResult(
         "kraus-completeness", dev <= 1e-13, f"max |sum K^+K - I| = {dev:.3e} (tol 1e-13)"
     )
@@ -141,7 +150,7 @@ def _step_outputs() -> tuple[np.ndarray, np.ndarray]:
     ``rhos[k] == rhos[200 + k]``.
     """
     rng = np.random.default_rng(_RNG_SEED + 2)
-    theta, a, rho = _stacked((*_random_params(rng), _random_state(rng)) for _ in range(200))
+    theta, a, rho = _random_states(rng, 200, (0.0, np.pi), (0.0, 1.0))
     outs = np.concatenate(
         [evolution.step_coherent(rho, theta, a), evolution.step_collapse(rho, theta, a)]
     )
@@ -237,9 +246,7 @@ def _check_model_equivalence() -> CheckResult:
     rng = np.random.default_rng(_RNG_SEED + 4)
     devs = {}
     for a in (0.0, 1.0):
-        theta, rho = _stacked(
-            (float(rng.uniform(0.0, np.pi)), _random_state(rng)) for _ in range(100)
-        )
+        theta, rho = _random_states(rng, 100, (0.0, np.pi))
         devs[a] = np.abs(
             evolution.step_coherent(rho, theta, a) - evolution.step_collapse(rho, theta, a)
         ).max()

@@ -25,7 +25,11 @@ from ifmsim.evolution import (
 from ifmsim.operators import rotator2, rotator_eigen, rotator_power, switching_angle
 from ifmsim.oracle import TrajectoryConfig, compare, estimate
 from ifmsim.sweep import sweep_absorption
-from ifmsim.verify import _random_state as _random_density_matrix
+from ifmsim.verify import _random_states
+
+
+def _random_density_matrix(rng):
+    return _random_states(rng, 1)[-1][0]
 
 
 def _report(capsys, num, passed, detail):

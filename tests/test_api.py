@@ -4,6 +4,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ifmsim
@@ -136,6 +137,7 @@ PROBABILITY_SITES = {
     "step_collapse.a": lambda v: step_collapse(initial_state(), 0.3, v),
     "kraus_operators.a": lambda v: kraus_operators("collapse", 0.3, v),
     "kraus_operators.absent.a": lambda v: kraus_operators("absent", 0.3, v),
+    "kraus_operators.array.a": lambda v: kraus_operators("coherent", 0.3, np.array([0.5, v, 2.0])),
     "sweep_cycles.a": lambda v: sweep_cycles(v, 3, "coherent"),
 }
 

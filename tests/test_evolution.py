@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -335,6 +336,81 @@ class TestKrausOperators:
             assert np.abs(step(rho, theta, a) - generic).max() <= 1e-14
 
 
+class TestStackedKraus:
+    """`kraus_operators` on arrays: every operator is a (..., 3, 3) stack whose
+    matrices are bit for bit the scalar call's, and a scalar call keeps its
+    (3, 3) shapes; every array returned is fresh and writable."""
+
+    THETAS = np.concatenate(
+        [
+            [0.0, -0.0, np.pi / 2, np.pi, 1e-300, -1e-300, 0.4, 1.1],
+            np.random.default_rng(17).uniform(-7.0, 7.0, 32),
+        ]
+    )
+    AS = np.concatenate(
+        [
+            [0.0, 1.0, 1e-12, 1.0 - 1e-16, 0.0, 1.0, 1e-12, 1.0 - 1e-16],
+            np.random.default_rng(18).uniform(0.0, 1.0, 32),
+        ]
+    )
+
+    @pytest.mark.parametrize("model", list(ParticleModel), ids=str)
+    def test_rows_equal_scalar_calls(self, model):
+        ks = kraus_operators(model, self.THETAS.reshape(5, 8), self.AS.reshape(5, 8))
+        for idx, theta, a in zip(np.ndindex(5, 8), self.THETAS, self.AS):
+            single = kraus_operators(model, float(theta), float(a))
+            assert len(ks) == len(single)
+            for k, one in zip(ks, single):
+                assert k.shape == (5, 8, 3, 3)
+                _assert_same_bits(k[idx], one, (model, theta, a))
+
+    @pytest.mark.parametrize("model", list(ParticleModel), ids=str)
+    def test_parameters_broadcast(self, model):
+        theta, a = self.THETAS[:6, None], self.AS[None, 8:12]
+        for t, av, shape in ((theta, a, (6, 4)), (theta, 0.3, (6, 1)), (0.7, a, (1, 4))):
+            ks = kraus_operators(model, t, av)
+            tb, ab = np.broadcast_arrays(t, av)
+            for k_i, k in enumerate(ks):
+                assert k.shape == shape + (3, 3)
+                for idx in np.ndindex(shape):
+                    one = kraus_operators(model, float(tb[idx]), float(ab[idx]))[k_i]
+                    _assert_same_bits(k[idx], one, (model, idx))
+
+    @pytest.mark.parametrize("model", list(ParticleModel), ids=str)
+    @pytest.mark.parametrize(
+        "theta,a", [(0.4, 0.3), (np.float64(0.4), np.array(0.3)), (THETAS[:7], AS[:7])], ids=str
+    )
+    def test_arrays_are_fresh_and_writable(self, model, theta, a):
+        ks = kraus_operators(model, theta, a)
+        for k in ks:
+            assert k.shape == np.shape(theta) + (3, 3)
+            assert k.flags.writeable
+        for i, j in itertools.combinations(range(len(ks)), 2):
+            assert not np.shares_memory(ks[i], ks[j])
+        again = kraus_operators(model, theta, a)
+        for k in ks:
+            k[...] = np.nan  # writing one result leaves the next call alone
+        for k, fresh in zip(kraus_operators(model, theta, a), again):
+            assert np.array_equal(k, fresh)
+
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan, math.inf], ids=str)
+    def test_bad_absorption_element_raises_its_scalar_message(self, bad):
+        a = self.AS.copy()
+        a[9], a[20] = bad, 2.0
+        message = f"absorption probability must be in [0, 1], got {bad!r}"
+        for model in ParticleModel:
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                kraus_operators(model, self.THETAS, a)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=str)
+    def test_non_finite_angle_element_raises_its_scalar_message(self, bad):
+        theta = self.THETAS.copy()
+        theta[11] = bad
+        for model in ParticleModel:
+            with pytest.raises(ValueError, match="^angle must be finite$"):
+                kraus_operators(model, theta, self.AS)
+
+
 class TestEvolve:
     def test_absent_switches_to_v(self):
         for n in (1, 10, 100):
@@ -422,7 +498,8 @@ def _transfer_matrix(model, theta, a):
 
 def _assert_same_bits(row, expected, context):
     assert np.array_equal(row, expected), context
-    assert np.array_equal(np.signbit(row), np.signbit(expected)), context
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(row)), np.signbit(part(expected))), context
 
 
 class TestStackedEngine:

@@ -18,6 +18,13 @@ from ifmsim.operators import (
 )
 
 
+def _assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(expected)))
+
+
 class TestRotator2:
     def test_zero_angle(self):
         assert np.array_equal(rotator2(0.0), np.eye(2))
@@ -240,7 +247,38 @@ class TestStackedConstructors:
             with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
                 absorption(arg)
 
-    @pytest.mark.parametrize("build", [rotator2, rotator3, lambda t: rotator_power(t, 3)])
+    EIGEN_THETAS = np.concatenate(
+        [[0.0, -0.0, np.pi / 2, np.pi, 1e-300, -1e-300], THETAS.ravel()]
+    )
+
+    def test_rotator_eigen_rows_equal_scalar_calls(self):
+        eig = rotator_eigen(self.EIGEN_THETAS.reshape(5, 6))
+        assert eig.values.shape == (5, 6, 2)
+        assert eig.vectors.shape == (5, 6, 2, 2)
+        for idx, theta in zip(np.ndindex(5, 6), self.EIGEN_THETAS):
+            one = rotator_eigen(float(theta))
+            _assert_same_bits(eig.values[idx], one.values)
+            _assert_same_bits(eig.vectors[idx], one.vectors)
+
+    @pytest.mark.parametrize("theta", [0.3, np.float64(-0.0), np.array(2.5)], ids=str)
+    def test_rotator_eigen_scalar_keeps_its_shapes(self, theta):
+        eig = rotator_eigen(theta)
+        assert eig.values.shape == (2,)
+        assert eig.vectors.shape == (2, 2)
+        assert eig.values.flags.writeable and eig.vectors.flags.writeable
+
+    def test_rotator_eigen_arrays_are_fresh(self):
+        first, second = rotator_eigen(self.THETAS), rotator_eigen(self.THETAS)
+        for arr in (first.values, first.vectors):
+            assert arr.flags.writeable
+        assert not np.shares_memory(first.vectors, second.vectors)
+        first.vectors[..., 1, 0] = 0.0  # writing one result leaves the next call alone
+        assert np.array_equal(rotator_eigen(self.THETAS).vectors, second.vectors)
+
+    @pytest.mark.parametrize(
+        "build",
+        [rotator2, rotator3, lambda t: rotator_power(t, 3), lambda t: rotator_eigen(t).values],
+    )
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
     def test_non_finite_angle_element_raises_its_scalar_message(self, build, bad):
         thetas = self.THETAS.copy()

@@ -8,7 +8,7 @@ import pytest
 
 from ifmsim import oracle
 from ifmsim.evolution import CycleConfig, Probabilities, evolve
-from ifmsim.operators import Basis
+from ifmsim.operators import Basis, switching_angle
 from ifmsim.oracle import (
     OutcomeEstimate,
     TrajectoryConfig,
@@ -246,7 +246,7 @@ class TestTable:
     def test_matches_evolve(self, a, theta, n):
         cycle = _cfg("coherent", a, n, theta)
         h, v = _survivor_state(cycle)
-        table = oracle._table(n, cycle.resolved_theta(), a)
+        table = oracle._table(n, cycle.resolved_theta(), a, collapse=False)
         assert len(table.cut_b) == n
         assert float(table.cut_v[-1]) * 2.0**-53 == pytest.approx(v / (h + v), rel=0, abs=1e-12)
         survival = np.prod(1.0 - table.cut_b.astype(np.float64) * 2.0**-53)
@@ -254,12 +254,25 @@ class TestTable:
 
     @pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
     def test_entry_zero_is_h(self, a):
-        table = oracle._table(5, 0.3, a)
-        assert table.cut_v[0] == 0
-        assert table.norm_err[0] == 0.0
+        # only the collapse table, built at a = 0, keeps the V cut of entry 0
+        collapse = oracle._table(5, 0.3, 0.0, collapse=True)
+        assert collapse.cut_v[0] == 0
+        assert collapse.norm_err[0] == 0.0
+        assert oracle._table(5, 0.3, a, collapse=False).norm_err[0] == 0.0
+
+    @pytest.mark.parametrize("theta,n", [(0.3, 1), (0.3, 137), (switching_angle(10), 10)])
+    def test_each_model_keeps_only_what_its_kernel_reads(self, theta, n):
+        # At a = 0 both walks are the same walk, so the columns they share agree.
+        coherent = oracle._table(n, theta, 0.0, collapse=False)
+        collapse = oracle._table(n, theta, 0.0, collapse=True)
+        assert list(coherent.cut_b) == [0] * n and len(collapse.cut_b) == 0
+        assert len(coherent.cut_v) == 1 and len(collapse.cut_v) == n + 1
+        assert coherent.cut_v[-1] == collapse.cut_v[-1]
+        assert np.array_equal(coherent.norm_err, collapse.norm_err)
+        assert len(collapse.norm_err) == n + 1
 
     def test_stops_at_a_cycle_that_absorbs_every_survivor(self):
-        table = oracle._table(3, np.pi / 2, 1.0)
+        table = oracle._table(3, np.pi / 2, 1.0, collapse=False)
         assert list(map(int, table.cut_b)) == [2**53]
         assert len(table.cut_v) == len(table.norm_err) == 1
 

@@ -78,6 +78,21 @@ class TestRunChecks:
         run_checks()
         assert calls == {"step_coherent": 4, "step_collapse": 4}
 
+    def test_kraus_and_eigen_calls_per_run(self, monkeypatch):
+        # kraus-completeness builds each model's 25 Kraus sets as one stack,
+        # and rotator-closed-form decomposes its 100 angles in one call.
+        calls = {"kraus_operators": 0, "rotator_eigen": 0}
+        for module, name in ((evolution, "kraus_operators"), (ifmsim.operators, "rotator_eigen")):
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        run_checks()
+        assert calls == {"kraus_operators": 2, "rotator_eigen": 1}
+
 
 class TestRenderReport:
     def test_line_format(self):
@@ -124,6 +139,42 @@ class TestMutationSensitivity:
         assert results["trace-preservation"].passed
         assert results["kraus-completeness"].passed
         assert results["limiting-closed-forms"].passed
+
+    @staticmethod
+    def _only_failure(name):
+        results = _by_name(run_checks())
+        assert not results[name].passed
+        assert [r.name for r in results.values() if not r.passed] == [name]
+        return results
+
+    def test_scaled_kraus_branch_caught_by_completeness(self, monkeypatch):
+        # Shrink one Kraus operator of every set: sum K^+K falls short of I.
+        # The step kernels do not use the Kraus sets, so only the
+        # completeness audit can see it.
+        real = evolution.kraus_operators
+
+        def scaled(model, theta, a):
+            ks = real(model, theta, a)
+            ks[1] *= 0.99
+            return ks
+
+        monkeypatch.setattr(evolution, "kraus_operators", scaled)
+        self._only_failure("kraus-completeness")
+
+    def test_eigenvector_phase_flip_caught_by_closed_form(self, monkeypatch):
+        # Flip the phase of the |V> component of the first eigenvector:
+        # (1, i)/sqrt(2) becomes (1, -i)/sqrt(2), still a unit vector but
+        # the partner of the other eigenvalue, so the reconstruction fails.
+        real = ifmsim.operators.rotator_eigen
+
+        def flipped(theta):
+            eig = real(theta)
+            eig.vectors[..., 1, 0] *= -1.0
+            return eig
+
+        monkeypatch.setattr(ifmsim.operators, "rotator_eigen", flipped)
+        detail = self._only_failure("rotator-closed-form")["rotator-closed-form"].detail
+        assert "power dev 7.711e-14" in detail  # the power half still holds
 
     def test_wrong_switching_angle_caught(self, monkeypatch):
         monkeypatch.setattr(
@@ -267,6 +318,48 @@ class TestStackedReductions:
         assert results["absorbed-population-monotone"].detail == (
             f"max decrease {worst:.3e} (tol 1e-13)"
         )
+
+
+def _looped_random_state(rng):
+    """One seeded state drawn and built on its own: the per-sample reference."""
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(expected)))
+
+
+class TestRandomStates:
+    """`_random_states` draws what a per-sample loop drew, in the same
+    order, and builds the same states bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_the_per_sample_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        samples = [
+            (rng.uniform(0.0, np.pi), rng.uniform(0.0, 1.0), _looped_random_state(rng))
+            for _ in range(300)
+        ]
+        expected = [np.array(field) for field in zip(*samples)]
+        stacked_rng = np.random.default_rng(seed)
+        got = verify._random_states(stacked_rng, 300, (0.0, np.pi), (0.0, 1.0))
+        assert len(got) == 3
+        for field, reference in zip(got, expected):
+            _assert_same_bits(field, reference)
+        # both streams stop at the same draw
+        assert stacked_rng.uniform() == rng.uniform()
+
+    def test_count_one_without_ranges_repeats_the_state_sequence(self):
+        rng, stacked_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(200):
+            (rho,) = verify._random_states(stacked_rng, 1)
+            assert rho.shape == (1, 3, 3)
+            _assert_same_bits(rho[0], _looped_random_state(rng))
 
 
 class TestSeedIsolation:
