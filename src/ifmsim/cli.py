@@ -7,11 +7,20 @@ Subcommands: ``run`` (one experiment), ``sweep-cycles`` / ``sweep-absorption``
 flags and seed.  Exit codes: 0 success, 1 verification/concordance failure,
 2 usage error, an ``--out`` path that cannot be written, or an input the
 evaluation rejects with ``ValueError``.
+
+The argparse tree is built once per process.  ``build_parser()`` returns a
+shallow copy of it, so a caller may set attributes on the parser it gets
+without touching the shared tree, but must not add arguments to it.
+Parsing reads the tree and never changes it, and each subcommand's
+``records`` looks up ``run_single``, ``sweep_*`` and ``to_csv`` as module
+globals when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import math
 import sys
 
@@ -156,7 +165,9 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; build_parser() hands out copies."""
     parser = argparse.ArgumentParser(
         prog="ifmsim",
         description=(
@@ -219,6 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser: a shallow copy of the one tree built per process.
+
+    Setting an attribute on the copy (a wrapped ``parse_args``, say) leaves
+    the shared tree as it was.  Its argument groups and subparsers are the
+    shared ones, so do not add arguments to it.
+    """
+    return copy.copy(_parser())
 
 
 def main(argv=None) -> int:

@@ -64,12 +64,16 @@ _U64_MAX = 2**64 - 1
 _CHUNK = 1 << 16  # trajectories per kernel call; results do not depend on it
 
 
-def _mix64(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _mix64(
+    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """SplitMix64 finalizer: a bijective scramble of 64-bit words.
 
     Mixes into `out` and returns it; in place (into x) when out is None.
+    `scratch`, a uint64 array of x's size, holds the shifted words; a call
+    that passes it allocates nothing, and one that does not allocates it.
     """
-    t = x >> np.uint64(30)
+    t = np.right_shift(x, np.uint64(30), out=scratch)
     x = np.bitwise_xor(x, t, out=x if out is None else out)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     np.right_shift(x, np.uint64(27), out=t)
@@ -107,14 +111,17 @@ def trajectory_key(seed: int, index: int) -> int:
     return int(_keys_for(seed, np.array([index], dtype=np.uint64))[0])
 
 
-def _draw53(positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _draw53(
+    positions: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """The draws at stream positions key + (j+1)*PHI, as 53-bit integers.
 
     Writes mix64(position) >> 11 into `out` (into `positions` itself when
-    out is None) and returns it.  A draw d stands for the uniform
-    d * 2**-53 in [0, 1); compare it with _cut(p), never with p itself.
+    out is None) and returns it; `scratch` is _mix64's, so a call given both
+    allocates nothing.  A draw d stands for the uniform d * 2**-53 in
+    [0, 1); compare it with _cut(p), never with p itself.
     """
-    x = _mix64(positions, out)
+    x = _mix64(positions, out, scratch)
     x >>= np.uint64(11)
     return x
 
@@ -194,26 +201,30 @@ def _run_coherent(keys: np.ndarray, n: int, table: _Table):
     """
     m = keys.shape[0]
     offsets = (np.arange(n + 1, dtype=np.uint64) + np.uint64(1)) * _PHI
-    buf = np.empty(m, dtype=np.uint64)  # every cycle draws into it
+    # every cycle draws into buf and compares into mask, allocating nothing
+    buf, tmp = np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64)
+    mask = np.empty(m, dtype=bool)
     # absorbed keys stay in place, masked, until they are half of the array,
     # so a cycle that absorbs a few keys does not copy all the others
     alive = np.ones(m, dtype=bool)
     live = m
 
     def draws(j):
-        return _draw53(np.add(keys, offsets[j], out=buf[: keys.shape[0]]))
+        size = keys.shape[0]
+        return _draw53(np.add(keys, offsets[j], out=buf[:size]), scratch=tmp[:size])
 
     survived = -1
     for j, cut in enumerate(table.cut_b):
         if cut:  # every draw is >= 0
-            alive &= draws(j) >= cut
+            alive &= np.greater_equal(draws(j), cut, out=mask[: keys.shape[0]])
             live = int(np.count_nonzero(alive))
             if 2 * live < keys.shape[0]:
                 keys, alive = keys[alive], alive[alive]
         if not live:
             break
         survived = j
-    n_v = np.count_nonzero((draws(n) < table.cut_v[-1]) & alive)
+    is_v = np.less(draws(n), table.cut_v[-1], out=mask[: keys.shape[0]])
+    n_v = np.count_nonzero(np.logical_and(is_v, alive, out=is_v))
     return np.array([live - n_v, n_v, m - live]), float(table.norm_err[survived + 1])
 
 
@@ -234,7 +245,9 @@ def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _Table):
     pos = keys + _PHI
     # k <= n, and a table of 2**31 entries is far beyond any run, so int32 holds it
     k = np.zeros(m, dtype=np.int32)
-    first = np.empty(m, dtype=np.uint64)  # the first draw of every cycle goes here
+    # the first draw of every cycle goes into first and its test into mask
+    first, tmp = np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64)
+    mask = np.empty(m, dtype=bool)
     # absorbed trajectories stay in place, masked, until they are half of
     # the array, so a cycle that absorbs a few does not copy all the others
     alive = np.ones(m, dtype=bool)
@@ -246,30 +259,38 @@ def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _Table):
     k_max = 0
     for _ in range(n):
         k += 1
+        size = pos.shape[0]
         if cut_a:  # no draw is < 0: at a = 0 nothing measures
-            draw = _draw53(pos, out=first[: pos.shape[0]])
-            measured = np.flatnonzero((draw < cut_a) & alive)
-            second = pos.take(measured)
-            second += _PHI
-            pos[measured] = second  # measuring streams move one draw further
-            k_measured = k.take(measured)
-            hit = _draw53(second) < table.cut_v.take(k_measured)
+            draw = _draw53(pos, out=first[:size], scratch=tmp[:size])
+            measuring = np.less(draw, cut_a, out=mask[:size])
+            measuring &= alive
+            measured = np.flatnonzero(measuring)
             if measured.shape[0]:
+                second = pos.take(measured)
+                second += _PHI
+                pos[measured] = second  # measuring streams move one draw further
+                k_measured = k.take(measured)
+                hit = _draw53(second) < table.cut_v.take(k_measured)
                 k_max = max(k_max, int(k_measured.max()) - 1)
-            # a miss collapses to |H>; a hit is absorbed and masked, so its k is moot
-            k[measured] = 0
-            dead = measured[hit]
-            if dead.shape[0]:
-                alive[dead] = False
-                live -= dead.shape[0]
-                if 2 * live < pos.shape[0]:
-                    pos, k, alive = pos[alive], k[alive], alive[alive]
+                # A miss collapses to |H>; a hit is absorbed and masked, so its
+                # k is moot.  On 65,536 entries, half measured, multiplying by
+                # the negated mask is ~17x faster than a boolean-mask setitem
+                # or a where= ufunc, and twice as fast as scattering zeros.
+                k *= np.logical_not(measuring, out=measuring)
+                dead = measured[hit]
+                if dead.shape[0]:
+                    alive[dead] = False
+                    live -= dead.shape[0]
+                    if 2 * live < size:
+                        pos, k, alive = pos[alive], k[alive], alive[alive]
         pos += _PHI
         if not live:
             break
     if live:
         k_max = max(k_max, int(k[alive].max()))
-    n_v = np.count_nonzero((_draw53(pos) < table.cut_v.take(k)) & alive)
+    size = pos.shape[0]
+    is_v = np.less(_draw53(pos, scratch=tmp[:size]), table.cut_v.take(k), out=mask[:size])
+    n_v = np.count_nonzero(np.logical_and(is_v, alive, out=is_v))
     return np.array([live - n_v, n_v, m - live]), float(table.norm_err[k_max])
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import shutil
 import subprocess
@@ -195,6 +196,56 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "ifmsim: error: probabilities must sum to 1, got 1.5\n"
+
+
+class TestSharedParser:
+    """build_parser() copies one tree per process; main behaves as if it built its own."""
+
+    def test_each_call_returns_a_distinct_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_patched_parse_args_does_not_leak(self, capsys):
+        parser = cli.build_parser()
+        parser.parse_args = lambda argv=None: pytest.fail("leaked into main")
+        code, out = _run(capsys, ["run", "--cycles", "5"])
+        assert code == 0
+        assert out == to_csv([run_single(CycleConfig(model="coherent", a=1.0, n=5))])
+
+    @staticmethod
+    def _outputs(capsys, argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as err:
+            code = err.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_usage_error_then_grid_match_each_run_alone(self, capsys):
+        bad = ["grid", "--steps", "1"]
+        good = ["grid", "--cycles", "6", "--steps", "3"]
+        alone = [self._outputs(capsys, bad)]
+        cli._parser.cache_clear()
+        alone.append(self._outputs(capsys, good))
+        cli._parser.cache_clear()
+        in_turn = [self._outputs(capsys, bad), self._outputs(capsys, good)]
+        assert in_turn == alone
+        assert alone[0][0] == 2 and alone[0][2].endswith("--steps: must be >= 2, got 1\n")
+        assert alone[1][0] == 0 and alone[1][1] == to_csv(sweep_grid(6, 3, "coherent"))
+
+    def test_main_builds_no_parser_after_the_first_call(self, capsys, monkeypatch):
+        cli.main(["run", "--cycles", "3"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (["run", "--cycles", "3"], ["grid", "--cycles", "4", "--steps", "2"]):
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert built == []
 
 
 class TestEntryPoints:

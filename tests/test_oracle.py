@@ -333,6 +333,19 @@ class TestDrawThresholds:
         assert np.array_equal(positions, kept)
         assert np.array_equal(draws, oracle._draw53(kept))
 
+    def test_draws_with_scratch_allocate_nothing(self):
+        positions = trajectory_keys(3, 100_000) + oracle._PHI
+        buf, tmp = np.empty_like(positions), np.empty_like(positions)
+        expected = oracle._draw53(positions.copy())
+        tracemalloc.start()
+        try:
+            draws = oracle._draw53(positions, out=buf, scratch=tmp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096  # one 1e5-word temporary would be 800 KB
+        assert np.array_equal(draws, expected)
+
 
 class TestSampleTrajectory:
     def test_returns_basis_label(self):

@@ -85,6 +85,13 @@ def _collapse_outcome(draws, n, theta, a):
 @hypothesis.example(
     model=ParticleModel.COLLAPSE, a=0.5, theta=None, n=40, trajectories=2000, seed=2**64 - 1
 )
+# collapse cycles where no trajectory measures, and cycles where every one does
+@hypothesis.example(
+    model=ParticleModel.COLLAPSE, a=1e-6, theta=None, n=40, trajectories=2000, seed=11
+)
+@hypothesis.example(
+    model=ParticleModel.COLLAPSE, a=1.0, theta=0.3, n=12, trajectories=2000, seed=12
+)
 def test_estimate_replays_the_documented_draw_order(model, a, theta, n, trajectories, seed):
     cycle = CycleConfig(model=model, a=a, n=n, theta=theta)
     outcome = _collapse_outcome if model is ParticleModel.COLLAPSE else _coherent_outcome
