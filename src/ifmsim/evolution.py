@@ -112,7 +112,14 @@ class Probabilities(NamedTuple):
     p_b: float
 
 
-@dataclass(frozen=True, slots=True)
+# ParticleModel members and their string values, each to its member: the
+# common inputs skip the Enum call, and anything else still reaches it.
+_MODELS = {**{m: m for m in ParticleModel}, **{m.value: m for m in ParticleModel}}
+
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class CycleConfig:
     """One interrogation experiment.
 
@@ -134,17 +141,27 @@ class CycleConfig:
     n: int
     theta: float | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "model", ParticleModel(self.model))
-        n = operators._check_count(self.n, 1, "cycle count n must be a positive integer")
-        object.__setattr__(self, "n", n)
-        a = operators._check_probability(self.a)
-        object.__setattr__(self, "a", 0.0 if self.model is ParticleModel.ABSENT else a)
-        if self.theta is not None:
-            t = float(self.theta)
-            if not math.isfinite(t):
+    def __init__(self, model: ParticleModel, a: float, n: int, theta: float | None = None) -> None:
+        # Checked in the order model, n, a, theta; each field is set once.
+        try:
+            m = _MODELS.get(model)
+        except TypeError:
+            m = None
+        if m is None:
+            m = ParticleModel(model)
+        n = operators._check_count(n, 1, "cycle count n must be a positive integer")
+        a = operators._check_probability(a)
+        if theta is not None:
+            theta = float(theta)
+            if not math.isfinite(theta):
                 raise ValueError("theta must be finite")
-            object.__setattr__(self, "theta", t)
+        _setattr(self, "model", m)
+        _setattr(self, "a", 0.0 if m is ParticleModel.ABSENT else a)
+        _setattr(self, "n", n)
+        _setattr(self, "theta", theta)
+
+    # as in a generated __init__: the object None, not the string PEP 563 makes
+    __init__.__annotations__["return"] = None
 
     def resolved_theta(self) -> float:
         """The rotation angle actually used: explicit theta, or pi/(2n)."""

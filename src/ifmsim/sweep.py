@@ -41,8 +41,10 @@ CSV_HEADER = "model,a,n,theta,p_h,p_v,p_b"
 
 _SUM_TOL = 1e-10
 
+_setattr = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class SweepRecord:
     """One CSV row: an experiment's parameters and outcome probabilities."""
 
@@ -54,10 +56,26 @@ class SweepRecord:
     p_v: float
     p_b: float
 
-    def __post_init__(self):
-        total = self.p_h + self.p_v + self.p_b
-        if abs(total - 1.0) > _SUM_TOL:
+    def __init__(
+        self, model: str, a: float, n: int, theta: float, p_h: float, p_v: float, p_b: float
+    ) -> None:
+        total = p_h + p_v + p_b
+        # written so that a NaN sum (an inf among the terms, say) fails too
+        if not abs(total - 1.0) <= _SUM_TOL:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
+        # Seven stores, as a generated __init__ makes: they keep the fields in
+        # the instance's inline values, where a __dict__ update would build a
+        # dict per record (~190 more bytes each).
+        _setattr(self, "model", model)
+        _setattr(self, "a", a)
+        _setattr(self, "n", n)
+        _setattr(self, "theta", theta)
+        _setattr(self, "p_h", p_h)
+        _setattr(self, "p_v", p_v)
+        _setattr(self, "p_b", p_b)
+
+    # as in a generated __init__: the object None, not the string PEP 563 makes
+    __init__.__annotations__["return"] = None
 
 
 def run_single(config: CycleConfig) -> SweepRecord:

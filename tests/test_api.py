@@ -1,6 +1,9 @@
 import ast
+import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -170,3 +173,23 @@ def test_every_private_top_level_name_has_a_caller():
     private = [(f, n) for f, n in defined if n.startswith("_") and not n.startswith("__")]
     assert private  # the scan sees the package
     assert [(f, n) for f, n in private if n not in used] == []
+
+
+# Modules that no import of the package or its CLI needs: each one loaded at
+# start-up is paid by every command, `ifmsim run --cycles 3` included.
+UNNEEDED_AT_STARTUP = ("numpy.random", "scipy", "mpmath", "hypothesis")
+
+
+def test_import_loads_no_unneeded_module():
+    code = (
+        "import json, sys\n"
+        "import ifmsim, ifmsim.cli\n"
+        f"print(json.dumps([m for m in {UNNEEDED_AT_STARTUP!r} if m in sys.modules]))\n"
+    )
+    src = str(Path(ifmsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert json.loads(result.stdout) == []

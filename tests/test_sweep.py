@@ -55,6 +55,26 @@ class TestSweepRecord:
                 model="coherent", a=0.5, n=3, theta=0.1, p_h=0.5, p_v=0.5, p_b=0.5
             )
 
+    @pytest.mark.parametrize(
+        "p_h,p_v,total",
+        [
+            (math.nan, 0.0, "nan"),
+            (math.inf, -math.inf, "nan"),
+            (math.inf, 0.0, "inf"),
+            (-math.inf, 0.0, "-inf"),
+        ],
+    )
+    def test_rejects_a_non_finite_sum(self, p_h, p_v, total):
+        message = f"probabilities must sum to 1, got {total}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            SweepRecord(model="coherent", a=0.5, n=3, theta=0.1, p_h=p_h, p_v=p_v, p_b=0.0)
+
+    def test_accepts_a_sum_within_the_tolerance(self):
+        record = SweepRecord(
+            model="coherent", a=0.5, n=3, theta=0.1, p_h=0.5, p_v=0.5 + 1e-11, p_b=0.0
+        )
+        assert record.p_v == 0.5 + 1e-11
+
 
 class TestRunSingle:
     def test_matches_evolve(self):
