@@ -4,9 +4,9 @@ Three sweep shapes cover the standard plots: probability versus cycle count
 at fixed absorption, probability versus absorption at fixed cycle count, and
 the full (absorption x cycles) grid for heatmaps.  Records are emitted in
 deterministic (a, n) order.  Parameters are checked once, one CycleConfig
-per absorption, and one call of the evolution engine raises the transfer
-matrices of every (a, n) row as one batched power; a row is bit for bit the
-record ``run_single`` gives for its own configuration.
+per absorption, and one call of the evolution engine's stacked driver
+evolves every (a, n) row at once; a row is bit for bit the record
+``run_single`` gives for its own configuration through the float driver.
 
 CSV contract: header ``model,a,n,theta,p_h,p_v,p_b``; every real is rendered
 with 17 significant digits (positional notation for magnitudes in
@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import CycleConfig, ParticleModel, _clamped, _reduced
-from .operators import _check_count, switching_angle
+from . import operators
+from .evolution import CycleConfig, ParticleModel, _clamped, _evolve_one, _evolve_stack
+from .operators import _check_count
 
 __all__ = [
     "SweepRecord",
@@ -40,6 +41,9 @@ __all__ = [
 CSV_HEADER = "model,a,n,theta,p_h,p_v,p_b"
 
 _SUM_TOL = 1e-10
+
+_MODEL_VALUES = tuple(m.value for m in ParticleModel)
+_INF = math.inf
 
 _setattr = object.__setattr__
 
@@ -59,8 +63,23 @@ class SweepRecord:
     def __init__(
         self, model: str, a: float, n: int, theta: float, p_h: float, p_v: float, p_b: float
     ) -> None:
+        # Plain comparisons, each written so that NaN fails it.  With every p
+        # at least 0, the sum check also caps each p at 1 + _SUM_TOL.
+        if model not in _MODEL_VALUES:
+            raise ValueError(f"model must be one of {_MODEL_VALUES}, got {model!r}")
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"a must be in [0, 1], got {a!r}")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        if not -_INF < theta < _INF:
+            raise ValueError(f"theta must be finite, got {theta!r}")
+        if not p_h >= 0.0:
+            raise ValueError(f"p_h must be >= 0, got {p_h!r}")
+        if not p_v >= 0.0:
+            raise ValueError(f"p_v must be >= 0, got {p_v!r}")
+        if not p_b >= 0.0:
+            raise ValueError(f"p_b must be >= 0, got {p_b!r}")
         total = p_h + p_v + p_b
-        # written so that a NaN sum (an inf among the terms, say) fails too
         if not abs(total - 1.0) <= _SUM_TOL:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
         # Seven stores, as a generated __init__ makes: they keep the fields in
@@ -81,7 +100,7 @@ class SweepRecord:
 def run_single(config: CycleConfig) -> SweepRecord:
     """Evaluate one configuration into a record."""
     theta = config.resolved_theta()
-    h, _, v, b = _reduced(config.model, (theta,), (config.a,), (config.n,))[0, 0].tolist()
+    h, _, v, b = _evolve_one(config.model, theta, config.a, config.n)
     return SweepRecord(config.model.value, config.a, config.n, theta, *_clamped((h, v, b)))
 
 
@@ -89,17 +108,18 @@ def _records(a_values, n_values, model, theta) -> list[SweepRecord]:
     """One record per (a, n), absorption outer and cycles inner.
 
     One CycleConfig per absorption checks the parameters, raising what the
-    first failing row's own CycleConfig would; then one engine call raises
-    the transfer matrices of every (n, a) pair at once.
+    first failing row's own CycleConfig would; then one stacked engine call
+    evolves every (n, a) pair at once.
     """
     configs = [CycleConfig(model=model, a=a, n=n_values[0], theta=theta) for a in a_values]
     first = configs[0]
     a_eff = [c.a for c in configs]
     # CycleConfig returned n_values[0] as an int; _cycle_counts made the rest
     ns = [first.n, *n_values[1:]]
-    thetas = [switching_angle(n) if theta is None else first.theta for n in ns]
+    angle = operators.switching_angle  # looked up per call, as resolved_theta does
+    thetas = [angle(n) if theta is None else first.theta for n in ns]
     # (h, v, b) x absorption x cycles: one list per column rather than one per row
-    h, v, b = _reduced(first.model, thetas, a_eff, ns)[:, :, (0, 2, 3)].T.tolist()
+    h, v, b = _evolve_stack(first.model, thetas, a_eff, ns)[(0, 2, 3),].swapaxes(1, 2).tolist()
     return [
         SweepRecord(first.model.value, a, n, t, *_clamped((p_h, p_v, p_b)))
         for a, hs, vs, bs in zip(a_eff, h, v, b)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import evolution, linalg, operators, oracle
+from . import evolution, linalg, operators, oracle, sweep
 
 __all__ = ["CheckResult", "run_checks", "render_report"]
 
@@ -201,28 +201,12 @@ def _check_absorbed_monotone(rhos, outs) -> CheckResult:
     )
 
 
-_SWITCHING_COUNTS = range(1, 101)
-
-
-def _switching_angles() -> list[float]:
-    return [operators.switching_angle(n) for n in _SWITCHING_COUNTS]
-
-
-def _switching_rows(model, a, thetas) -> list[evolution.Probabilities]:
-    """Probabilities after N = 1..100 cycles at angles `thetas`, from one engine call."""
-    states = evolution._reduced(model, thetas, (a,), _SWITCHING_COUNTS)[:, 0].tolist()
-    return [evolution._clamped((h, v, b)) for h, _, v, b in states]
-
-
 def _check_limiting_closed_forms() -> CheckResult:
-    thetas = _switching_angles()
-    evolved = [
-        *_switching_rows(evolution.ParticleModel.ABSENT, 0.0, thetas),
-        *_switching_rows(evolution.ParticleModel.COHERENT, 1.0, thetas),
-    ]
+    rows = [*sweep.sweep_cycles(0.0, 100, "absent"), *sweep.sweep_cycles(1.0, 100, "coherent")]
+    evolved = [(r.p_h, r.p_v, r.p_b) for r in rows]
     exact = [
-        *map(evolution.closed_form_no_particle, thetas, _SWITCHING_COUNTS),
-        *map(evolution.closed_form_perfect_absorber, thetas, _SWITCHING_COUNTS),
+        *(evolution.closed_form_no_particle(r.theta, r.n) for r in rows[:100]),
+        *(evolution.closed_form_perfect_absorber(r.theta, r.n) for r in rows[100:]),
     ]
     dev = np.abs(np.array(evolved) - np.array(exact)).max()
     return CheckResult(
@@ -233,8 +217,7 @@ def _check_limiting_closed_forms() -> CheckResult:
 
 
 def _check_perfect_switching() -> CheckResult:
-    rows = _switching_rows(evolution.ParticleModel.ABSENT, 0.0, _switching_angles())
-    min_pv = min(1.0, *(p.p_v for p in rows))
+    min_pv = min(1.0, *(r.p_v for r in sweep.sweep_cycles(0.0, 100, "absent")))
     return CheckResult(
         "perfect-switching",
         min_pv >= 1.0 - 1e-10,

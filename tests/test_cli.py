@@ -52,15 +52,33 @@ class TestRun:
         assert path.read_bytes() == out.encode()
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--cycles", "1000000", "--absorption", "0"],
+            ["--cycles", "100000000", "--absorption", "0"],
+            ["--cycles", "100000000", "--absorption", "0.5", "--model", "collapse"],
+        ],
+    )
+    def test_large_cycle_counts(self, capsys, argv):
+        # each once printed a negative p_h or failed the sum check with exit 2
+        code, out = _run(capsys, ["run", *argv])
+        assert code == 0
+        p_h, p_v, p_b = map(float, out.splitlines()[1].split(",")[4:])
+        assert min(p_h, p_v, p_b) >= 0.0
+        assert max(p_h, p_v, p_b) <= 1.0 + 2**-52
+        assert abs(p_h + p_v + p_b - 1.0) <= 1e-14
+
+
 # stdout SHA-256 prefixes of sweep and run commands; each engine change must keep
 # these bytes or say which rows moved and why
 PINNED_STDOUT = {
-    "grid --cycles 250 --steps 21": "7df35a92ec8b",
-    "grid --cycles 250 --steps 21 --model collapse": "f3226b4bce85",
-    "grid --cycles 64 --steps 7 --theta 2.5 --model absent": "2133396a2dc6",
-    "sweep-cycles --cycles 300 --absorption 1 --model collapse": "e30c70494c35",
-    "sweep-absorption --cycles 3 --steps 11 --model collapse": "6640a0bbf0f7",
-    "run --cycles 3 --absorption 1 --model collapse": "fba4e16db26f",
+    "grid --cycles 250 --steps 21": "0c3712ad2047",
+    "grid --cycles 250 --steps 21 --model collapse": "65a07a4dc00b",
+    "grid --cycles 64 --steps 7 --theta 2.5 --model absent": "361a2ac12787",
+    "sweep-cycles --cycles 300 --absorption 1 --model collapse": "f5695386547e",
+    "sweep-absorption --cycles 3 --steps 11 --model collapse": "363da086c75e",
+    "run --cycles 3 --absorption 1 --model collapse": "9b625a019a01",
 }
 
 

@@ -2,12 +2,13 @@ import itertools
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ifmsim import linalg
+from ifmsim import linalg, sweep
 from ifmsim.evolution import (
     HERMITICITY_TOL,
     PSD_TOL,
@@ -15,7 +16,8 @@ from ifmsim.evolution import (
     CycleConfig,
     ParticleModel,
     Probabilities,
-    _reduced,
+    _evolve_one,
+    _evolve_stack,
     closed_form_no_particle,
     closed_form_perfect_absorber,
     evolve,
@@ -480,20 +482,62 @@ class TestEngineMatchesReferenceSteps:
                 self._assert_matches(cfg, rho)
 
 
-def _transfer_matrix(model, theta, a):
-    """One cycle as a real 4x4 map on (h, c, v, b), written out entry by entry."""
-    cos, sin = math.cos(theta), math.sin(theta)
-    cc, ss, cs = cos * cos, sin * sin, cos * sin
-    keep = 1.0 - a
-    q = keep if model is ParticleModel.COLLAPSE else math.sqrt(keep)
-    return np.array(
-        [
-            [cc, -2.0 * cs, ss, 0.0],
-            [q * cs, q * (cc - ss), -q * cs, 0.0],
-            [keep * ss, keep * 2.0 * cs, keep * cc, 0.0],
-            [a * ss, a * 2.0 * cs, a * cc, 1.0],
-        ]
-    )
+def _reference(mpmath, model, theta, a, n):
+    """(p_h, p_v, p_b) after n cycles: T**n e_1 by binary powering at 50 digits."""
+    with mpmath.workdps(50):
+        t, a = mpmath.mpf(theta), mpmath.mpf(a)
+        cos, sin, keep = mpmath.cos(t), mpmath.sin(t), 1 - a
+        q = keep if model is ParticleModel.COLLAPSE else mpmath.sqrt(keep)
+        cc, ss, cs = cos * cos, sin * sin, cos * sin
+        power = mpmath.matrix(
+            [
+                [cc, -2 * cs, ss, 0],
+                [q * cs, q * (cc - ss), -q * cs, 0],
+                [keep * ss, 2 * keep * cs, keep * cc, 0],
+                [a * ss, 2 * a * cs, a * cc, 1],
+            ]
+        )
+        state = mpmath.matrix([1, 0, 0, 0])
+        while n:
+            if n & 1:
+                state = power * state
+            n >>= 1
+            if n:
+                power = power * power
+        return state[0], state[2], state[3]
+
+
+class TestEngineAccuracy:
+    """The engine against a 50-digit reference, and its rows at cycle counts up to 1e12."""
+
+    MODELS = (ParticleModel.COHERENT, ParticleModel.COLLAPSE)
+    ABSORPTIONS = (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0)
+    COUNTS = (24, 100, 10**3, 10**4, 10**6, 10**8)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.value)
+    def test_auto_theta_grid_against_high_precision(self, model):
+        mpmath = pytest.importorskip("mpmath")
+        for a in self.ABSORPTIONS:
+            for n in self.COUNTS:
+                cfg = CycleConfig(model=model, a=a, n=n)
+                probs, _ = evolve(cfg)
+                exact = _reference(mpmath, model, cfg.resolved_theta(), a, n)
+                for name, p, e in zip(Probabilities._fields, probs, exact):
+                    err = abs(mpmath.mpf(p) - e)
+                    assert err <= 2e-15, (name, a, n, float(err))
+                    if name != "p_h" and e != 0:
+                        assert err <= 4e-15 * abs(e), (name, a, n, float(err / e))
+
+    @pytest.mark.parametrize("model", list(ParticleModel), ids=lambda m: m.value)
+    def test_auto_theta_rows_up_to_1e12(self, model):
+        counts = [10**k for k in range(1, 13)] + [2**40 - 1]
+        for a in (0.0, 1e-12, 1e-6, 0.5, 1.0 - 1e-9, 1.0):
+            records = sweep._records([a], counts, model, None)
+            for n, record in zip(counts, records):
+                probs = (record.p_h, record.p_v, record.p_b)
+                assert all(0.0 <= p <= 1.0 + 2**-52 for p in probs), (a, n, probs)
+                assert abs(sum(probs) - 1.0) <= sweep._SUM_TOL
+                assert probs == tuple(evolve(CycleConfig(model=model, a=a, n=n))[0])
 
 
 def _assert_same_bits(row, expected, context):
@@ -503,27 +547,28 @@ def _assert_same_bits(row, expected, context):
 
 
 class TestStackedEngine:
-    """Each row of a stacked power equals the 2-D matrix_power of its own matrix, bit for bit."""
+    """Each row of the stacked driver equals the float driver on its own config, bit for bit."""
 
     ABSORPTIONS = (0.0, 1e-12, 0.3, 0.5, 1.0 - 1e-9, 1.0)
     THETAS = (None, 0.3, 2.5, -2.5)
-    # every shortcut of matrix_power (n = 1, 2, 3) and both parities of its squaring loop
+    # one bit, all bits and mixed bits set, from a single level to ten
     COUNTS = (1, 2, 3, 4, 5, 7, 8, 16, 17, 250, 1000)
 
-    def _assert_rows_are_powers(self, model, thetas, ns, rows):
-        assert rows.shape == (len(ns), len(self.ABSORPTIONS), 4)
-        for t, n, group in zip(thetas, ns, rows):
-            for a, row in zip(self.ABSORPTIONS, group):
-                single = np.linalg.matrix_power(_transfer_matrix(model, t, a), n)[:, 0]
-                _assert_same_bits(row, single, (a, t, n))
+    def _assert_rows_are_single(self, model, thetas, ns, rows):
+        assert rows.shape == (4, len(ns), len(self.ABSORPTIONS))
+        for g, (t, n) in enumerate(zip(thetas, ns)):
+            for k, a in enumerate(self.ABSORPTIONS):
+                single = _evolve_one(model, t, a, n)
+                assert all(type(x) is float for x in single)
+                _assert_same_bits(rows[:, g, k], np.array(single), (a, t, n))
 
     @pytest.mark.parametrize("model", list(ParticleModel), ids=lambda m: m.value)
-    def test_rows_equal_single_matrix_powers(self, model):
+    def test_rows_equal_single_configs(self, model):
         for theta in self.THETAS:
             for n in self.COUNTS:
                 t = switching_angle(n) if theta is None else theta
-                rows = _reduced(model, (t,), self.ABSORPTIONS, (n,))
-                self._assert_rows_are_powers(model, (t,), (n,), rows)
+                rows = _evolve_stack(model, (t,), self.ABSORPTIONS, (n,))
+                self._assert_rows_are_single(model, (t,), (n,), rows)
 
     @pytest.mark.parametrize("model", list(ParticleModel), ids=lambda m: m.value)
     def test_shuffled_mixed_counts_in_one_call(self, model):
@@ -534,24 +579,31 @@ class TestStackedEngine:
         ]
         np.random.default_rng(12).shuffle(groups)
         thetas, ns = zip(*groups)
-        rows = _reduced(model, thetas, self.ABSORPTIONS, ns)
-        self._assert_rows_are_powers(model, thetas, ns, rows)
+        rows = _evolve_stack(model, thetas, self.ABSORPTIONS, ns)
+        self._assert_rows_are_single(model, thetas, ns, rows)
 
-    def test_equal_counts_share_every_level(self):
-        # every level selects all groups or none, so the stack is never gathered
-        thetas = (0.3, 2.5, -2.5)
-        for n in self.COUNTS:
-            rows = _reduced(ParticleModel.COLLAPSE, thetas, self.ABSORPTIONS, (n,) * 3)
-            self._assert_rows_are_powers(ParticleModel.COLLAPSE, thetas, (n,) * 3, rows)
+    @pytest.mark.parametrize("model", list(ParticleModel), ids=lambda m: m.value)
+    def test_counts_beyond_int64(self, model):
+        n = 2**70 + 3
+        rows = _evolve_stack(model, (1e-22,), self.ABSORPTIONS, (n,))
+        self._assert_rows_are_single(model, (1e-22,), (n,), rows)
 
-    def test_counts_beyond_int64(self):
-        model, n = ParticleModel.COHERENT, 2**70 + 3
-        single = np.linalg.matrix_power(_transfer_matrix(model, 1e-22, 0.5), n)[:, 0]
-        _assert_same_bits(_reduced(model, (1e-22,), (0.5,), (n,))[0, 0], single, n)
+    def test_groups_past_their_top_bit_raise_no_warning(self):
+        # Rows near theta = pi/2 with small counts are squared on for the
+        # 2**70 + 3 row's 71 levels; their deviations overflow there.
+        half = math.pi / 2
+        thetas = (half, 1e-22, half - 1e-9, half + 1e-7, 0.3)
+        ns = (1, 2**70 + 3, 3, 2, 17)
+        for model in ParticleModel:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = _evolve_stack(model, thetas, self.ABSORPTIONS, ns)
+            assert np.isfinite(rows).all()
+            self._assert_rows_are_single(model, thetas, ns, rows)
 
     def test_evolve_reads_the_engine_row(self):
         cfg = CycleConfig(model="collapse", a=0.3, n=17, theta=2.5)
-        h, c, v, b = _reduced(cfg.model, (2.5,), (0.3,), (17,))[0, 0]
+        h, c, v, b = _evolve_one(cfg.model, 2.5, 0.3, 17)
         probs, rho = evolve(cfg)
         assert tuple(probs) == (h, v, b)
         assert (rho[0, 0], rho[0, 1], rho[1, 0], rho[1, 1], rho[2, 2]) == (h, c, c, v, b)

@@ -56,18 +56,53 @@ class TestSweepRecord:
             )
 
     @pytest.mark.parametrize(
-        "p_h,p_v,total",
+        "p_h,p_v,message",
         [
-            (math.nan, 0.0, "nan"),
-            (math.inf, -math.inf, "nan"),
-            (math.inf, 0.0, "inf"),
-            (-math.inf, 0.0, "-inf"),
+            (math.nan, 0.0, "p_h must be >= 0, got nan"),
+            (math.inf, -math.inf, "p_v must be >= 0, got -inf"),
+            (math.inf, 0.0, "probabilities must sum to 1, got inf"),
+            (-math.inf, 0.0, "p_h must be >= 0, got -inf"),
         ],
     )
-    def test_rejects_a_non_finite_sum(self, p_h, p_v, total):
-        message = f"probabilities must sum to 1, got {total}"
+    def test_rejects_a_non_finite_probability(self, p_h, p_v, message):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             SweepRecord(model="coherent", a=0.5, n=3, theta=0.1, p_h=p_h, p_v=p_v, p_b=0.0)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("model", "x", "model must be one of ('coherent', 'collapse', 'absent'), got 'x'"),
+            ("model", "COHERENT", "model must be one of"),
+            ("a", 5.0, "a must be in [0, 1], got 5.0"),
+            ("a", -1e-300, "a must be in [0, 1]"),
+            ("a", math.nan, "a must be in [0, 1], got nan"),
+            ("n", -1, "n must be an integer >= 1, got -1"),
+            ("n", 0, "n must be an integer >= 1"),
+            ("n", 3.0, "n must be an integer >= 1, got 3.0"),
+            ("n", True, "n must be an integer >= 1, got True"),
+            ("theta", math.nan, "theta must be finite, got nan"),
+            ("theta", -math.inf, "theta must be finite, got -inf"),
+            ("p_h", -5.0, "p_h must be >= 0, got -5.0"),
+            ("p_v", -1e-300, "p_v must be >= 0"),
+            ("p_b", math.nan, "p_b must be >= 0, got nan"),
+        ],
+    )
+    def test_rejects_an_invalid_field_by_name(self, field, value, message):
+        fields = dict(model="coherent", a=0.5, n=3, theta=0.1, p_h=0.25, p_v=0.5, p_b=0.25)
+        fields[field] = value
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            SweepRecord(**fields)
+
+    def test_rejects_the_first_invalid_field(self):
+        with pytest.raises(ValueError, match="^model must be one of"):
+            SweepRecord(model="x", a=5.0, n=-1, theta=math.nan, p_h=-5.0, p_v=0.0, p_b=0.0)
+
+    @pytest.mark.parametrize("p", [1.0 + 2**-52, 1.0 + 3 * 2**-52, 1.0000000000000373])
+    def test_accepts_a_probability_just_above_one(self, p):
+        # p >= 0 and the sum check already cap each p at 1 + _SUM_TOL
+        for fields in ((p, 0.0, 0.0), (0.0, p, 0.0), (0.0, 0.0, p)):
+            record = SweepRecord("collapse", 1.0, 10**12, 1e-12, *fields)
+            assert max(record.p_h, record.p_v, record.p_b) == p
 
     def test_accepts_a_sum_within_the_tolerance(self):
         record = SweepRecord(
@@ -209,17 +244,13 @@ class TestStackedSweeps:
 
     def test_one_engine_call_per_sweep(self, monkeypatch):
         calls = []
-        engine = sweep._reduced
+        engine = sweep._evolve_stack
 
         def counted(model, thetas, a_values, ns):
             calls.append((len(thetas), len(a_values), list(ns)))
             return engine(model, thetas, a_values, ns)
 
-        def unused(*args):
-            raise AssertionError("the engine does not call np.linalg.matrix_power")
-
-        monkeypatch.setattr(sweep, "_reduced", counted)
-        monkeypatch.setattr(np.linalg, "matrix_power", unused)
+        monkeypatch.setattr(sweep, "_evolve_stack", counted)
         sweep_grid(12, 5, "coherent")
         assert calls == [(12, 5, list(range(1, 13)))]
         calls.clear()
@@ -229,8 +260,9 @@ class TestStackedSweeps:
         sweep_cycles(0.5, 40, "collapse", theta=0.3)
         assert calls == [(40, 1, list(range(1, 41)))]
         calls.clear()
+        # one config runs on the float driver, not on a 1 x 1 stack
         run_single(CycleConfig(model="coherent", a=0.5, n=24))
-        assert calls == [(1, 1, [24])]
+        assert calls == []
 
     @pytest.mark.parametrize(
         "a,n,model,theta",

@@ -33,7 +33,7 @@ PINNED_REPORT = (
     "min eigenvalue 1.293e-03 (floor -1e-10)\n"
     "PASS absorbed-state-fixed-point: |B><B| invariant exactly, both models\n"
     "PASS absorbed-population-monotone: max decrease 0.000e+00 (tol 1e-13)\n"
-    "PASS limiting-closed-forms: max closed-form deviation 1.510e-14 over N = 1..100 (tol 1e-10)\n"
+    "PASS limiting-closed-forms: max closed-form deviation 9.798e-15 over N = 1..100 (tol 1e-10)\n"
     "PASS perfect-switching: min p_v = 1.000000000000 over N = 1..100 with auto theta (needs >= 1-1e-10)\n"
     "PASS model-equivalence-extremes: max step gap 0.000e+00 at a=0, 0.000e+00 at a=1 (tol 1e-12)\n"
     "PASS oracle-concordance: max |z| = 2.250 over 3 cells at 20000 trajectories (tol 4)\n"
