@@ -8,11 +8,16 @@ flags and seed.  Exit codes: 0 success, 1 verification/concordance failure,
 2 usage error, an ``--out`` path that cannot be written, or an input the
 evaluation rejects with ``ValueError``.
 
+Output is written as a sequence of text chunks.  The sweep commands
+evaluate and check every row before the first chunk exists, so a rejected
+input writes nothing and creates no ``--out`` file; then they write one
+chunk of CSV lines per block of rows, and never hold the whole table.
+
 The argparse tree is built once per process.  ``build_parser()`` returns a
 shallow copy of it, so a caller may set attributes on the parser it gets
 without touching the shared tree, but must not add arguments to it.
-Parsing reads the tree and never changes it, and each subcommand's
-``records`` looks up ``run_single``, ``sweep_*`` and ``to_csv`` as module
+Parsing reads the tree and never changes it, and each subcommand's ``csv``
+looks up ``run_single``, ``to_csv`` and the sweep helpers as module
 globals when it runs.
 """
 
@@ -27,14 +32,7 @@ import sys
 from . import verify as verify_mod
 from .evolution import CycleConfig, ParticleModel, evolve
 from .oracle import TrajectoryConfig, compare, estimate
-from .sweep import (
-    format_real,
-    run_single,
-    sweep_absorption,
-    sweep_cycles,
-    sweep_grid,
-    to_csv,
-)
+from .sweep import _absorption_grid, _cycle_counts, _Sweep, format_real, run_single, to_csv
 
 __all__ = ["main"]
 
@@ -114,22 +112,23 @@ def _add_common(p: argparse.ArgumentParser, *, absorption: bool = True) -> None:
     )
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write the text chunks, in order, to stdout or to the file `out`."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         # newline='' keeps the LF line terminators exactly as written
         with open(out, "w", newline="") as f:
-            f.write(text)
+            f.writelines(chunks)
     except OSError as e:
         sys.stderr.write(f"ifmsim: error: cannot write {out}: {e.strerror or e}\n")
         raise SystemExit(2) from None
 
 
 def _cmd_csv(args) -> int:
-    """The CSV subcommands; each parser sets `records`, args -> SweepRecords."""
-    _emit(to_csv(args.records(args)), args.out)
+    """The CSV subcommands; each parser sets `csv`, args -> checked CSV text chunks."""
+    _emit(args.csv(args), args.out)
     return 0
 
 
@@ -155,13 +154,13 @@ def _cmd_oracle(args) -> int:
     max_z = float(max(abs(float(v)) for v in z))
     verdict = "PASS" if max_z <= _Z_LIMIT else "FAIL"
     lines.append(f"{verdict} max |z| = {format_real(max_z)} (tol {format_real(_Z_LIMIT)})")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0 if max_z <= _Z_LIMIT else 1
 
 
 def _cmd_verify(args) -> int:
     results = verify_mod.run_checks()
-    _emit(verify_mod.render_report(results), args.out)
+    _emit([verify_mod.render_report(results)], args.out)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -181,17 +180,17 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--cycles", type=_int_arg(1), required=True, metavar="N",
                    help="number of interrogation cycles")
-    p.set_defaults(func=_cmd_csv, records=lambda args: [run_single(
+    p.set_defaults(func=_cmd_csv, csv=lambda args: [to_csv([run_single(
         CycleConfig(model=args.model, a=args.absorption, n=args.cycles, theta=args.theta)
-    )])
+    )])])
 
     p = sub.add_parser("sweep-cycles", help="sweep N = 1..max at fixed absorption")
     _add_common(p)
     p.add_argument("--cycles", type=_int_arg(1), default=250, metavar="N",
                    help="maximum cycle count (default: 250)")
-    p.set_defaults(func=_cmd_csv, records=lambda args: sweep_cycles(
-        args.absorption, args.cycles, args.model, theta=args.theta
-    ))
+    p.set_defaults(func=_cmd_csv, csv=lambda args: _Sweep(
+        [args.absorption], _cycle_counts(args.cycles), args.model, args.theta
+    ).csv())
 
     p = sub.add_parser("sweep-absorption", help="sweep absorption 0..1 at fixed N")
     _add_common(p, absorption=False)
@@ -199,9 +198,9 @@ def _parser() -> argparse.ArgumentParser:
                    help="cycle count (default: 10; 50 and 250 are the other standard regimes)")
     p.add_argument("--steps", type=_int_arg(2), default=101, metavar="K",
                    help="number of absorption grid points including both endpoints (default: 101)")
-    p.set_defaults(func=_cmd_csv, records=lambda args: sweep_absorption(
-        args.cycles, args.steps, args.model, theta=args.theta
-    ))
+    p.set_defaults(func=_cmd_csv, csv=lambda args: _Sweep(
+        _absorption_grid(args.steps), [args.cycles], args.model, args.theta
+    ).csv())
 
     p = sub.add_parser("grid", help="full absorption x cycles grid for heatmaps")
     _add_common(p, absorption=False)
@@ -209,9 +208,9 @@ def _parser() -> argparse.ArgumentParser:
                    help="maximum cycle count (default: 250)")
     p.add_argument("--steps", type=_int_arg(2), default=21, metavar="K",
                    help="number of absorption grid points (default: 21)")
-    p.set_defaults(func=_cmd_csv, records=lambda args: sweep_grid(
-        args.cycles, args.steps, args.model, theta=args.theta
-    ))
+    p.set_defaults(func=_cmd_csv, csv=lambda args: _Sweep(
+        _absorption_grid(args.steps), _cycle_counts(args.cycles), args.model, args.theta
+    ).csv())
 
     p = sub.add_parser("oracle", help="Monte Carlo cross-check of one configuration")
     _add_common(p)

@@ -2,11 +2,19 @@
 
 Three sweep shapes cover the standard plots: probability versus cycle count
 at fixed absorption, probability versus absorption at fixed cycle count, and
-the full (absorption x cycles) grid for heatmaps.  Records are emitted in
-deterministic (a, n) order.  Parameters are checked once, one CycleConfig
-per absorption, and one call of the evolution engine's stacked driver
-evolves every (a, n) row at once; a row is bit for bit the record
-``run_single`` gives for its own configuration through the float driver.
+the full (absorption x cycles) grid for heatmaps.  Rows come in
+deterministic (a, n) order, absorption outer and cycles inner.  One path
+evaluates every sweep: parameters are checked once, one CycleConfig per
+absorption; the evolution engine's stacked driver then evolves the rows in
+blocks of about 4,096, one call a block, into (p_h, p_v, p_b) columns of
+24 bytes a row, and each block is checked with SweepRecord's own checks as
+it lands.  A row is bit for bit the record ``run_single`` gives for its own
+configuration through the float driver, whatever block it is in.  The
+public ``sweep_*`` functions build a SweepRecord per row from the columns;
+the CLI's sweep commands skip the records and format the columns straight
+into CSV text, one chunk a block, once every row has passed.  Both go
+through one line layout and one number formatter, ``format_real``, so the
+CLI's bytes are those of ``to_csv`` over the records.
 
 CSV contract: header ``model,a,n,theta,p_h,p_v,p_b``; every real is rendered
 with 17 significant digits (positional notation for magnitudes in
@@ -18,12 +26,20 @@ line feed, including the last.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import operators
-from .evolution import CycleConfig, ParticleModel, _clamped, _evolve_one, _evolve_stack
+from .evolution import (
+    _CLAMP_TOL,
+    CycleConfig,
+    ParticleModel,
+    _clamped,
+    _evolve_one,
+    _evolve_stack,
+)
 from .operators import _check_count
 
 __all__ = [
@@ -104,27 +120,110 @@ def run_single(config: CycleConfig) -> SweepRecord:
     return SweepRecord(config.model.value, config.a, config.n, theta, *_clamped((h, v, b)))
 
 
-def _records(a_values, n_values, model, theta) -> list[SweepRecord]:
-    """One record per (a, n), absorption outer and cycles inner.
+# Rows per stacked engine call, and per chunk of CSV text.
+_BLOCK_ROWS = 4096
 
-    One CycleConfig per absorption checks the parameters, raising what the
-    first failing row's own CycleConfig would; then one stacked engine call
-    evolves every (n, a) pair at once.
+
+class _Sweep:
+    """One sweep's (a, n) rows, absorption outer and cycles inner, as columns.
+
+    Construction checks the parameters, one CycleConfig per absorption,
+    raising what the first failing row's own CycleConfig would.  It then
+    evolves the rows in blocks of about ``_BLOCK_ROWS``, one stacked engine
+    call a block, into one (3, K, G) array of clamped (p_h, p_v, p_b): 24
+    bytes a row.  Each block is checked as it lands, with SweepRecord's
+    probability checks, and the first failing row raises its SweepRecord's
+    own message.  So a constructed sweep holds only rows that ``records``
+    and ``csv`` can emit.
     """
-    configs = [CycleConfig(model=model, a=a, n=n_values[0], theta=theta) for a in a_values]
-    first = configs[0]
-    a_eff = [c.a for c in configs]
-    # CycleConfig returned n_values[0] as an int; _cycle_counts made the rest
-    ns = [first.n, *n_values[1:]]
-    angle = operators.switching_angle  # looked up per call, as resolved_theta does
-    thetas = [angle(n) if theta is None else first.theta for n in ns]
-    # (h, v, b) x absorption x cycles: one list per column rather than one per row
-    h, v, b = _evolve_stack(first.model, thetas, a_eff, ns)[(0, 2, 3),].swapaxes(1, 2).tolist()
-    return [
-        SweepRecord(first.model.value, a, n, t, *_clamped((p_h, p_v, p_b)))
-        for a, hs, vs, bs in zip(a_eff, h, v, b)
-        for n, t, p_h, p_v, p_b in zip(ns, thetas, hs, vs, bs)
-    ]
+
+    def __init__(self, a_values, n_values, model, theta) -> None:
+        first = CycleConfig(model=model, a=a_values[0], n=n_values[0], theta=theta)
+        self.model, self.theta = first.model, first.theta
+        self.n_values = n_values
+        self.n_first = first.n  # CycleConfig returned n_values[0] as an int
+        self.a_values = [
+            CycleConfig(model=first.model, a=a, n=first.n, theta=first.theta).a for a in a_values
+        ]
+        k, g = len(self.a_values), len(n_values)
+        block = _BLOCK_ROWS
+        if g >= block:  # slices of one absorption's counts
+            self.blocks = [
+                (slice(j, j + 1), slice(i, min(i + block, g)))
+                for j in range(k)
+                for i in range(0, g, block)
+            ]
+        else:  # every count, for as many absorptions as fit
+            step = block // g
+            self.blocks = [(slice(j, min(j + step, k)), slice(0, g)) for j in range(0, k, step)]
+        self.p = np.empty((3, k, g))
+        for a_part, n_part in self.blocks:
+            ns = self._counts(n_part)
+            p = _evolve_stack(self.model, self._thetas(ns), self.a_values[a_part], ns)[(0, 2, 3),]
+            p[(-_CLAMP_TOL <= p) & (p < 0.0)] = 0.0  # _clamped's dust clamp
+            rows = self.p[:, a_part, n_part]
+            rows[...] = p.swapaxes(1, 2)
+            self._check(rows, a_part.start, n_part.start)
+
+    def _counts(self, part) -> list:
+        ns = list(self.n_values[part])
+        if part.start == 0:
+            ns[0] = self.n_first
+        return ns
+
+    def _thetas(self, ns) -> list:
+        if self.theta is None:
+            angle = operators.switching_angle  # looked up per call, as resolved_theta does
+            return [angle(n) for n in ns]
+        return [self.theta] * len(ns)
+
+    def _check(self, rows, j0, i0) -> None:
+        """SweepRecord's probability checks, in its order of summing, on a (3, k, g) block."""
+        p_h, p_v, p_b = rows
+        with np.errstate(invalid="ignore"):  # inf - inf makes a failing row, not a warning
+            total = p_h + p_v + p_b
+            ok = (p_h >= 0.0) & (p_v >= 0.0) & (p_b >= 0.0) & (abs(total - 1.0) <= _SUM_TOL)
+        if not ok.all():
+            j, i = divmod(int(ok.argmin()), ok.shape[1])  # the first failing row
+            n = self._counts(slice(i0 + i, i0 + i + 1))[0]
+            theta = self._thetas([n])[0]
+            SweepRecord(self.model.value, self.a_values[j0 + j], n, theta, *rows[:, j, i].tolist())
+
+    def records(self) -> list[SweepRecord]:
+        """One SweepRecord per row, in row order."""
+        model = self.model.value
+        ns = self._counts(slice(0, len(self.n_values)))
+        thetas = self._thetas(ns)
+        return [
+            SweepRecord(model, a, n, t, p_h, p_v, p_b)
+            for a, hs, vs, bs in zip(self.a_values, *self.p.tolist())
+            for n, t, p_h, p_v, p_b in zip(ns, thetas, hs, vs, bs)
+        ]
+
+    def csv(self) -> Iterator[str]:
+        """The text of ``to_csv(self.records())``: the header, then one chunk a block.
+
+        Each absorption's ``model,a,`` prefix is formatted once a block, and
+        each count's ``n,theta,`` piece once for as long as consecutive
+        blocks share its count slice.
+        """
+        yield CSV_HEADER + "\n"
+        model = self.model.value
+        shared = None
+        for a_part, n_part in self.blocks:
+            if n_part != shared:
+                shared = n_part
+                ns = self._counts(n_part)
+                if self.theta is None:
+                    texts = map(format_real, self._thetas(ns))
+                else:
+                    texts = [format_real(self.theta)] * len(ns)
+                pieces = [f"{n},{t}," for n, t in zip(ns, texts)]
+            lines = []
+            for a, hs, vs, bs in zip(self.a_values[a_part], *self.p[:, a_part, n_part].tolist()):
+                prefix = f"{model},{format_real(a)},"
+                lines += _lines(zip(map(prefix.__add__, pieces), hs, vs, bs))
+            yield "\n".join(lines) + "\n"
 
 
 def _cycle_counts(n_max) -> range:
@@ -141,7 +240,7 @@ def sweep_cycles(a, n_max, model, theta=None) -> list[SweepRecord]:
 
     With theta=None each row uses its own switching angle pi/(2N).
     """
-    return _records([a], _cycle_counts(n_max), model, theta)
+    return _Sweep([a], _cycle_counts(n_max), model, theta).records()
 
 
 def sweep_absorption(n, steps, model, theta=None) -> list[SweepRecord]:
@@ -149,12 +248,12 @@ def sweep_absorption(n, steps, model, theta=None) -> list[SweepRecord]:
 
     Endpoints 0 and 1 are always included exactly.
     """
-    return _records(_absorption_grid(steps), [n], model, theta)
+    return _Sweep(_absorption_grid(steps), [n], model, theta).records()
 
 
 def sweep_grid(n_max, a_steps, model, theta=None) -> list[SweepRecord]:
     """The full Cartesian product: absorption outer, cycles inner, both ascending."""
-    return _records(_absorption_grid(a_steps), _cycle_counts(n_max), model, theta)
+    return _Sweep(_absorption_grid(a_steps), _cycle_counts(n_max), model, theta).records()
 
 
 def format_real(x: float) -> str:
@@ -172,35 +271,30 @@ def format_real(x: float) -> str:
     )
 
 
+def _lines(rows) -> list[str]:
+    """The CSV line of each (head, p_h, p_v, p_b) row, its head "model,a,n,theta,"."""
+    f = format_real
+    return [f"{head}{f(p_h)},{f(p_v)},{f(p_b)}" for head, p_h, p_v, p_b in rows]
+
+
 def to_csv(records) -> str:
     """The full CSV text: header plus one line per record, LF terminated."""
     # A sweep repeats each a and theta over many rows, so each value is
-    # formatted once; the key keeps the sign so that 0.0 and -0.0 stay apart.
+    # formatted once; a zero is keyed by its text, so 0.0 and -0.0 stay apart.
     formatted = {}
 
     def repeated(x) -> str:
-        key = (x, math.copysign(1.0, x))
+        key = x or str(x)
         text = formatted.get(key)
         if text is None:
             text = formatted[key] = format_real(x)
         return text
 
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                (
-                    r.model,
-                    repeated(r.a),
-                    str(r.n),
-                    repeated(r.theta),
-                    format_real(r.p_h),
-                    format_real(r.p_v),
-                    format_real(r.p_b),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    lines = _lines(
+        (f"{r.model},{repeated(r.a)},{r.n},{repeated(r.theta)},", r.p_h, r.p_v, r.p_b)
+        for r in records
+    )
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def write_csv(records, path) -> None:

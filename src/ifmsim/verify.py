@@ -11,7 +11,9 @@ Kraus sets and the operator constructors take (..., d, d) stacks, so no
 check loops over its samples to call them.  The trace, positivity and
 absorbed-population checks share one set of step outputs: ``run_checks``
 runs both step kernels on the same seeded samples once per call and hands
-the stacked states to those three checks.
+the stacked states to those three checks.  In the same way the
+limiting-closed-forms and perfect-switching checks share one absent
+N = 1..100 sweep.
 
 Operators and evolution steps are reached through their modules on purpose:
 replacing, say, ``operators.absorption`` with a broken variant makes the
@@ -201,8 +203,13 @@ def _check_absorbed_monotone(rhos, outs) -> CheckResult:
     )
 
 
-def _check_limiting_closed_forms() -> CheckResult:
-    rows = [*sweep.sweep_cycles(0.0, 100, "absent"), *sweep.sweep_cycles(1.0, 100, "coherent")]
+def _absent_sweep() -> tuple[list]:
+    """(rows,): the absent N = 1..100 sweep at the switching angle, as records."""
+    return (sweep.sweep_cycles(0.0, 100, "absent"),)
+
+
+def _check_limiting_closed_forms(absent) -> CheckResult:
+    rows = [*absent, *sweep.sweep_cycles(1.0, 100, "coherent")]
     evolved = [(r.p_h, r.p_v, r.p_b) for r in rows]
     exact = [
         *(evolution.closed_form_no_particle(r.theta, r.n) for r in rows[:100]),
@@ -216,8 +223,8 @@ def _check_limiting_closed_forms() -> CheckResult:
     )
 
 
-def _check_perfect_switching() -> CheckResult:
-    min_pv = min(1.0, *(r.p_v for r in sweep.sweep_cycles(0.0, 100, "absent")))
+def _check_perfect_switching(absent) -> CheckResult:
+    min_pv = min(1.0, *(r.p_v for r in absent))
     return CheckResult(
         "perfect-switching",
         min_pv >= 1.0 - 1e-10,
@@ -275,13 +282,14 @@ _CHECKS = [
     ("oracle-concordance", _check_oracle_concordance),
 ]
 
-# Checks that take the shared step outputs, ``(rhos, outs)``, as arguments.
-_STEP_CHECKS = frozenset(
+# Inputs that several checks share, each computed once per run: a function
+# returning the arguments, and the checks that take them.
+_SHARED = (
     (
-        _check_trace_preservation,
-        _check_positivity_preservation,
-        _check_absorbed_monotone,
-    )
+        _step_outputs,
+        (_check_trace_preservation, _check_positivity_preservation, _check_absorbed_monotone),
+    ),
+    (_absent_sweep, (_check_limiting_closed_forms, _check_perfect_switching)),
 )
 
 
@@ -296,15 +304,15 @@ def _run(name: str, fn, *args) -> CheckResult:
         return _raised(name, exc)
 
 
-def _step_check_results() -> dict[str, CheckResult]:
-    """Results of the checks in ``_STEP_CHECKS`` by name, from one set of
-    step outputs; if computing those raises, each check fails with it."""
-    shared = [(name, fn) for name, fn in _CHECKS if fn in _STEP_CHECKS]
+def _shared_check_results(make, fns) -> dict[str, CheckResult]:
+    """Results of the checks `fns` by name, from one call of `make`, which
+    returns their arguments; if that call raises, each check fails with it."""
+    shared = [(name, fn) for name, fn in _CHECKS if fn in fns]
     try:
-        steps = _step_outputs()
+        args = make()
     except Exception as exc:
         return {name: _raised(name, exc) for name, _ in shared}
-    return {name: _run(name, fn, *steps) for name, fn in shared}
+    return {name: _run(name, fn, *args) for name, fn in shared}
 
 
 def run_checks() -> list[CheckResult]:
@@ -312,10 +320,12 @@ def run_checks() -> list[CheckResult]:
 
     A check that raises counts as a failure of that check rather than
     aborting the suite: broken inputs must yield a named FAIL line.  The
-    checks that share step outputs run first, so the stacked outputs are
-    freed before the rest run; nothing is kept between calls.
+    checks that share an input run first, so each input is freed before the
+    next is made and before the rest run; nothing is kept between calls.
     """
-    shared = _step_check_results()
+    shared = {}
+    for make, fns in _SHARED:
+        shared.update(_shared_check_results(make, fns))
     return [shared[name] if name in shared else _run(name, fn) for name, fn in _CHECKS]
 
 

@@ -1,15 +1,24 @@
 import argparse
 import hashlib
+import math
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from ifmsim import cli
+from ifmsim import cli, sweep
 from ifmsim.evolution import CycleConfig, Probabilities
-from ifmsim.sweep import run_single, sweep_absorption, sweep_cycles, sweep_grid, to_csv
+from ifmsim.sweep import (
+    SweepRecord,
+    run_single,
+    sweep_absorption,
+    sweep_cycles,
+    sweep_grid,
+    to_csv,
+)
 
 
 def _run(capsys, argv):
@@ -110,6 +119,145 @@ class TestSweepCommands:
         )
         assert code == 0
         assert out == to_csv(sweep_grid(6, 3, "collapse"))
+
+
+def _sweep_argv(command, cycles, steps, model="collapse", theta="auto"):
+    argv = [command, "--cycles", str(cycles), "--model", model, f"--theta={theta}"]
+    return argv + (["--absorption", "0.37"] if command == "sweep-cycles" else ["--steps", str(steps)])
+
+
+def _sweep_records(command, cycles, steps, model="collapse", theta="auto"):
+    """The public records path of what `_sweep_argv` asks for."""
+    t = None if theta == "auto" else float(theta)
+    if command == "sweep-cycles":
+        return sweep_cycles(0.37, cycles, model, t)
+    if command == "sweep-absorption":
+        return sweep_absorption(cycles, steps, model, t)
+    return sweep_grid(cycles, steps, model, t)
+
+
+class TestStreamedCsv:
+    """The sweep commands write CSV blocks straight from the engine's columns.
+
+    Their bytes are those of ``to_csv`` over the public records, at any block
+    size, and a row that fails SweepRecord's checks stops the command before
+    it writes a byte.
+    """
+
+    COMMANDS = ("sweep-cycles", "sweep-absorption", "grid")
+
+    @pytest.mark.parametrize("theta", ["auto", "0.3", "-2.5", "-0.0"])
+    @pytest.mark.parametrize("model", ["coherent", "collapse", "absent"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bytes_equal_the_records_path(self, capsys, command, model, theta):
+        for cycles, steps in ((1, 2), (3, 2), (1, 5), (250, 21)):
+            code, out = _run(capsys, _sweep_argv(command, cycles, steps, model, theta))
+            assert code == 0
+            assert out == to_csv(_sweep_records(command, cycles, steps, model, theta))
+
+    @pytest.mark.parametrize("block", [1, 7, sweep._BLOCK_ROWS])
+    def test_bytes_do_not_depend_on_the_block_size(self, capsys, monkeypatch, block):
+        # sweeps one row shorter than, as long as and one row longer than a
+        # block, along each axis: each count's slices, and whole count axes
+        cases = [
+            case
+            for rows in (block - 1, block, block + 1)
+            for case in (("sweep-cycles", rows, 2), ("sweep-absorption", 24, rows), ("grid", rows, 3))
+            if rows >= 1 and case[2] >= 2
+        ]
+        expected = [to_csv(_sweep_records(*case)) for case in cases]
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", block)
+        engine, calls = sweep._evolve_stack, []
+
+        def counted(model, thetas, a_values, ns):
+            calls.append(len(thetas) * len(a_values))
+            return engine(model, thetas, a_values, ns)
+
+        monkeypatch.setattr(sweep, "_evolve_stack", counted)
+        for case, text in zip(cases, expected):
+            calls.clear()
+            code, out = _run(capsys, _sweep_argv(*case))
+            assert code == 0 and out == text
+            assert max(calls) <= block and sum(calls) == text.count("\n") - 1
+
+    def test_out_file_holds_the_stdout_bytes(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", 7)
+        path = tmp_path / "grid.csv"
+        argv = _sweep_argv("grid", 12, 4)
+        code, out = _run(capsys, argv)
+        assert code == 0
+        assert cli.main([*argv, "--out", str(path)]) == 0
+        assert path.read_bytes() == out.encode()
+
+    @staticmethod
+    def _corrupted(bad):
+        """The stacked engine, with the (a, n) rows in `bad` made to fail."""
+        engine = sweep._evolve_stack
+
+        def corrupted(model, thetas, a_values, ns):
+            out = engine(model, thetas, a_values, ns)
+            for g, n in enumerate(ns):
+                for k, a in enumerate(a_values):
+                    kind = bad.get((a, n))
+                    if kind == "sum":
+                        out[0, g, k] += 0.1  # h, so that the row sums to 1.1
+                    elif kind == "nan":
+                        out[2, g, k] = math.nan  # v
+            return out
+
+        return corrupted
+
+    @pytest.mark.parametrize(
+        "case,bad,first",
+        [
+            # blocks of 7 rows: N = 1..7, 8..14 and 15..20
+            (("sweep-cycles", 20, 2), {(0.37, 18): "sum"}, (0.37, 18)),
+            (("sweep-cycles", 20, 2), {(0.37, 18): "nan"}, (0.37, 18)),
+            (("sweep-cycles", 20, 2), {(0.37, 16): "nan", (0.37, 19): "sum"}, (0.37, 16)),
+            (("sweep-cycles", 20, 2), {(0.37, 9): "sum", (0.37, 17): "nan"}, (0.37, 9)),
+            # one absorption a block; the later absorption's row is the earlier row
+            (("grid", 5, 3), {(1.0, 1): "sum", (0.5, 4): "nan"}, (0.5, 4)),
+            (("sweep-absorption", 24, 15), {(1.0, 24): "nan"}, (1.0, 24)),
+        ],
+    )
+    @pytest.mark.parametrize("block", [7, sweep._BLOCK_ROWS])
+    def test_first_bad_row_exits_two_before_any_byte(
+        self, capsys, monkeypatch, tmp_path, case, bad, first, block
+    ):
+        rec = next(r for r in _sweep_records(*case) if (r.a, r.n) == first)
+        p = [rec.p_h + 0.1, rec.p_v, rec.p_b] if bad[first] == "sum" else [rec.p_h, math.nan, rec.p_b]
+        with pytest.raises(ValueError) as expected:
+            SweepRecord(rec.model, rec.a, rec.n, rec.theta, *p)
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(sweep, "_evolve_stack", self._corrupted(bad))
+        path = tmp_path / "sweep.csv"
+        for out in ([], ["--out", str(path)]):
+            with pytest.raises(SystemExit) as err:
+                cli.main(_sweep_argv(*case) + out)
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"ifmsim: error: {expected.value}\n"
+        assert not path.exists()
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        # The rows' (p_h, p_v, p_b) columns, 24 bytes a row, are the one part
+        # of a sweep's traced peak that grows with its length; the engine
+        # stack and the CSV text live one block at a time.
+        path = tmp_path / "sweep.csv"
+
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                assert cli.main(["sweep-cycles", "--cycles", str(rows), "--out", str(path)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # build the parser first
+        small, large = peak(2 * 4096 + 1), peak(6 * 4096 + 1)
+        assert large - small <= 24 * 4 * 4096 + 2**16
+        assert large < 8 * 2**20
 
 
 class TestOracle:

@@ -532,7 +532,7 @@ class TestEngineAccuracy:
     def test_auto_theta_rows_up_to_1e12(self, model):
         counts = [10**k for k in range(1, 13)] + [2**40 - 1]
         for a in (0.0, 1e-12, 1e-6, 0.5, 1.0 - 1e-9, 1.0):
-            records = sweep._records([a], counts, model, None)
+            records = sweep._Sweep([a], counts, model, None).records()
             for n, record in zip(counts, records):
                 probs = (record.p_h, record.p_v, record.p_b)
                 assert all(0.0 <= p <= 1.0 + 2**-52 for p in probs), (a, n, probs)

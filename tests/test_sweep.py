@@ -225,7 +225,7 @@ class TestStackedSweeps:
     @pytest.mark.parametrize("model", list(ParticleModel), ids=lambda m: m.value)
     def test_records_equal_run_single(self, model):
         for theta in self.THETAS:
-            records = sweep._records(self.ABSORPTIONS, self.COUNTS, model, theta)
+            records = sweep._Sweep(self.ABSORPTIONS, self.COUNTS, model, theta).records()
             a_eff = [0.0 if model is ParticleModel.ABSENT else a for a in self.ABSORPTIONS]
             assert [(r.a, r.n) for r in records] == [
                 (a, n) for a in a_eff for n in self.COUNTS
@@ -279,7 +279,7 @@ class TestStackedSweeps:
         with pytest.raises(ValueError) as expected:
             CycleConfig(model=model, a=a, n=n, theta=theta)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-            sweep._records([a, 0.5], [n, 4], model, theta)
+            sweep._Sweep([a, 0.5], [n, 4], model, theta).records()
 
 
 class TestCsv:

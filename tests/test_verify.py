@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ifmsim.operators
-from ifmsim import evolution, linalg, verify
+from ifmsim import evolution, linalg, sweep, verify
 from ifmsim.verify import CheckResult, render_report, run_checks
 
 EXPECTED_NAMES = [
@@ -92,6 +92,20 @@ class TestRunChecks:
             monkeypatch.setattr(module, name, counted)
         run_checks()
         assert calls == {"kraus_operators": 2, "rotator_eigen": 1}
+
+    def test_absent_sweep_runs_once_per_run(self, monkeypatch):
+        # limiting-closed-forms and perfect-switching share one absent sweep
+        calls = []
+        real = sweep.sweep_cycles
+
+        def counted(a, n_max, model, theta=None):
+            calls.append((a, n_max, model))
+            return real(a, n_max, model, theta)
+
+        monkeypatch.setattr(sweep, "sweep_cycles", counted)
+        results = run_checks()
+        assert sorted(calls) == [(0.0, 100, "absent"), (1.0, 100, "coherent")]
+        assert render_report(results) == PINNED_REPORT
 
 
 class TestRenderReport:
@@ -277,6 +291,23 @@ class TestMutationSensitivity:
         # kernel reaches an unpatched run.
         monkeypatch.undo()
         assert all(r.passed for r in run_checks())
+
+    def test_raising_absent_sweep_fails_each_check_that_shares_it(self, monkeypatch):
+        real = sweep.sweep_cycles
+
+        def absent_breaks(a, n_max, model, theta=None):
+            if model == "absent":
+                raise RuntimeError("sweep unavailable")
+            return real(a, n_max, model, theta)
+
+        monkeypatch.setattr(sweep, "sweep_cycles", absent_breaks)
+        results = run_checks()
+        assert [r.name for r in results] == EXPECTED_NAMES
+        failed = {r.name: r.detail for r in results if not r.passed}
+        assert failed == {
+            "limiting-closed-forms": "raised RuntimeError: sweep unavailable",
+            "perfect-switching": "raised RuntimeError: sweep unavailable",
+        }
 
 
 class TestCheckResult:
