@@ -13,21 +13,31 @@ configuration through the float driver, whatever block it is in.  The
 public ``sweep_*`` functions build a SweepRecord per row from the columns;
 the CLI's sweep commands skip the records and format the columns straight
 into CSV text, one chunk a block, once every row has passed.  Both go
-through one line layout and one number formatter, ``format_real``, so the
-CLI's bytes are those of ``to_csv`` over the records.
+through one line layout and one number rule, ``format_real``'s, written a
+block at a time by ``_format_reals``, so the CLI's bytes are those of
+``to_csv`` over the records.  A sweep has at most ``sys.maxsize`` counts
+and absorptions, the most a Python sequence can hold.
 
-CSV contract: header ``model,a,n,theta,p_h,p_v,p_b``; every real is rendered
-with 17 significant digits (positional notation for magnitudes in
-[1e-4, 1e17), scientific otherwise, zero always positional) so values
-round-trip losslessly and output is byte-stable; lines end with a single
-line feed, including the last.
+CSV contract: header ``model,a,n,theta,p_h,p_v,p_b``; lines end with a
+single line feed, including the last.  Every real is written with 17
+significant digits, correctly rounded with ties to even, so values
+round-trip losslessly and output is byte-stable.  Notation is positional
+for zero and for magnitudes in [1e-4, 1e17), scientific (``d.<16
+digits>e±XX``) otherwise, chosen from the unrounded value.  Where the
+digits run short, numpy's rule holds: an exact expansion of fewer digits
+(0.5), or a rounding carry that leaves fewer (0.25506902573942169532...),
+is padded with zeros to 17 digits in all, counting a leading 0 and the
+zeros after the point: ``0.5000000000000000``, ``3.0000000000000000``,
+``0.0001220703125000``, ``0.2550690257394217``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -203,9 +213,11 @@ class _Sweep:
     def csv(self) -> Iterator[str]:
         """The text of ``to_csv(self.records())``: the header, then one chunk a block.
 
-        Each absorption's ``model,a,`` prefix is formatted once a block, and
-        each count's ``n,theta,`` piece once for as long as consecutive
-        blocks share its count slice.
+        A block's chunk is one ``%`` over a line template: each absorption's
+        ``model,a,`` prefix is formatted once a block, and each count's
+        ``n,theta,`` piece once for as long as consecutive blocks share its
+        count slice; the template's ``%s`` fields take the block's
+        probabilities, formatted in one ``_format_reals`` call.
         """
         yield CSV_HEADER + "\n"
         model = self.model.value
@@ -215,23 +227,33 @@ class _Sweep:
                 shared = n_part
                 ns = self._counts(n_part)
                 if self.theta is None:
-                    texts = map(format_real, self._thetas(ns))
+                    texts = _format_reals(self._thetas(ns))
                 else:
-                    texts = [format_real(self.theta)] * len(ns)
-                pieces = [f"{n},{t}," for n, t in zip(ns, texts)]
+                    texts = _format_reals([self.theta]) * len(ns)
+                pieces = [f"{n},{t},%s,%s,%s" for n, t in zip(ns, texts)]
             lines = []
-            for a, hs, vs, bs in zip(self.a_values[a_part], *self.p[:, a_part, n_part].tolist()):
-                prefix = f"{model},{format_real(a)},"
-                lines += _lines(zip(map(prefix.__add__, pieces), hs, vs, bs))
-            yield "\n".join(lines) + "\n"
+            for a in _format_reals(self.a_values[a_part]):
+                prefix = f"{model},{a},"
+                lines.append(prefix + ("\n" + prefix).join(pieces))
+            # the block's (p_h, p_v, p_b) in row order, absorption outer
+            p = self.p[:, a_part, n_part].transpose(1, 2, 0).ravel().tolist()
+            yield ("\n".join(lines) + "\n") % tuple(_format_reals(p))
+
+
+def _sweep_count(value, lo: int, name: str) -> int:
+    """`_check_count` for a sweep's count of rows along one axis, at most sys.maxsize."""
+    v = _check_count(value, lo, f"{name} must be >= {lo}")
+    if v > sys.maxsize:  # len() of a longer range overflows
+        raise ValueError(f"{name} must be no larger than {sys.maxsize}")
+    return v
 
 
 def _cycle_counts(n_max) -> range:
-    return range(1, _check_count(n_max, 1, "n_max must be >= 1") + 1)
+    return range(1, _sweep_count(n_max, 1, "n_max") + 1)
 
 
 def _absorption_grid(steps) -> list[float]:
-    steps = _check_count(steps, 2, "steps must be >= 2")
+    steps = _sweep_count(steps, 2, "steps")
     return [i / (steps - 1) for i in range(steps)]
 
 
@@ -271,30 +293,45 @@ def format_real(x: float) -> str:
     )
 
 
-def _lines(rows) -> list[str]:
-    """The CSV line of each (head, p_h, p_v, p_b) row, its head "model,a,n,theta,"."""
-    f = format_real
-    return [f"{head}{f(p_h)},{f(p_v)},{f(p_b)}" for head, p_h, p_v, p_b in rows]
+def _format_reals(values) -> list[str]:
+    """``[format_real(v) for v in values]``, most of it in one C-level pass.
+
+    ``%#.17g`` formats the whole list at once: 17 correctly rounded
+    significant digits, ties to even, trailing zeros kept, as numpy's
+    Dragon4 gives them.  Its scientific texts (below 1e-4 and from 1e17 up),
+    its whole numbers from 1e16 up (``10000000000000000.``), ``nan`` and
+    ``inf`` are numpy's as they stand.  A positional text differs only where
+    numpy's padding rule applies: a short exact expansion (``0.5``) or a
+    rounding carry (0.25506902573942169532...) that numpy pads to 17 digits
+    counting a leading 0, not to 17 significant digits.  Such a text ends in
+    ``0``, so only a text that ends in ``0`` and holds no ``e`` goes to
+    ``format_real``, once a value within the call (a zero keyed by its text,
+    so 0.0 and -0.0 stay apart).
+    """
+    texts = ("%#.17g\n" * len(values) % tuple(values)).split("\n")
+    del texts[-1]
+    formatted = {}
+    for i, text in enumerate(texts):
+        if text[-1] == "0" and "e" not in text:
+            v = values[i]
+            key = v or str(v)
+            text = formatted.get(key)
+            if text is None:
+                text = formatted[key] = format_real(v)
+            texts[i] = text
+    return texts
 
 
 def to_csv(records) -> str:
     """The full CSV text: header plus one line per record, LF terminated."""
-    # A sweep repeats each a and theta over many rows, so each value is
-    # formatted once; a zero is keyed by its text, so 0.0 and -0.0 stay apart.
-    formatted = {}
-
-    def repeated(x) -> str:
-        key = x or str(x)
-        text = formatted.get(key)
-        if text is None:
-            text = formatted[key] = format_real(x)
-        return text
-
-    lines = _lines(
-        (f"{r.model},{repeated(r.a)},{r.n},{repeated(r.theta)},", r.p_h, r.p_v, r.p_b)
-        for r in records
-    )
-    return "\n".join([CSV_HEADER, *lines]) + "\n"
+    records = iter(records)
+    chunks = [CSV_HEADER + "\n"]
+    # a block of records at a time, one line template and one _format_reals call each
+    while block := list(islice(records, _BLOCK_ROWS)):
+        template = "".join([f"{r.model},%s,{r.n},%s,%s,%s,%s\n" for r in block])
+        reals = [x for r in block for x in (r.a, r.theta, r.p_h, r.p_v, r.p_b)]
+        chunks.append(template % tuple(_format_reals(reals)))
+    return "".join(chunks)
 
 
 def write_csv(records, path) -> None:

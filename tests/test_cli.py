@@ -240,6 +240,25 @@ class TestStreamedCsv:
             assert captured.err == f"ifmsim: error: {expected.value}\n"
         assert not path.exists()
 
+    def test_most_reals_skip_format_real(self, capsys, monkeypatch):
+        # grid --cycles 100 --steps 5 writes 1,605 reals: 1,500 probabilities,
+        # 100 angles and 5 absorptions.  The C-level pass keeps all but the
+        # texts whose last digit is 0: the exact 0, 0.25, 0.5, 0.75 and 1,
+        # once per _format_reals call, and about one in ten of the rest (their
+        # 17th digit).  That came to 127 calls; per-value formatting makes
+        # 1,605.  The bound is about twice the measured count.
+        calls = []
+        reference = sweep.format_real
+
+        def counted(x):
+            calls.append(x)
+            return reference(x)
+
+        monkeypatch.setattr(sweep, "format_real", counted)
+        code, out = _run(capsys, ["grid", "--cycles", "100", "--steps", "5", "--model", "collapse"])
+        assert code == 0 and out.count("\n") == 501
+        assert 0 < len(calls) <= 250
+
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         # The rows' (p_h, p_v, p_b) columns, 24 bytes a row, are the one part
         # of a sweep's traced peak that grows with its length; the engine
@@ -362,6 +381,47 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "ifmsim: error: probabilities must sum to 1, got 1.5\n"
+
+
+class TestHugeSweepCounts:
+    """A sweep count beyond sys.maxsize, the longest a sequence gets, is a usage error."""
+
+    HUGE = "1010101010101010101010101010"
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["sweep-cycles", "--cycles", HUGE], "n_max"),
+            (["grid", "--cycles", HUGE], "n_max"),
+            (["grid", "--steps", HUGE], "steps"),
+            (["sweep-absorption", "--steps", HUGE], "steps"),
+        ],
+    )
+    def test_exits_two_with_one_line_and_no_file(self, capsys, tmp_path, argv, name):
+        path = tmp_path / "sweep.csv"
+        for out in ([], ["--out", str(path)]):
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv + out)
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"ifmsim: error: {name} must be no larger than {sys.maxsize}\n"
+        assert not path.exists()
+
+    def test_process_prints_no_traceback(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        argv = ["sweep-cycles", "--cycles", self.HUGE, "--out", str(path)]
+        result = subprocess.run([sys.executable, "-m", "ifmsim", *argv], capture_output=True)
+        assert result.returncode == 2
+        assert b"Traceback" not in result.stderr
+        assert result.stderr.count(b"\n") == 1 and result.stderr.startswith(b"ifmsim: error: ")
+        assert not path.exists()
+
+    def test_the_largest_count_passes_the_check(self):
+        # the range is built, not walked: nothing of its length is allocated
+        assert len(sweep._cycle_counts(sys.maxsize)) == sys.maxsize
+        with pytest.raises(ValueError, match=f"^n_max must be no larger than {sys.maxsize}$"):
+            sweep._cycle_counts(sys.maxsize + 1)
 
 
 class TestSharedParser:

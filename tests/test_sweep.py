@@ -48,6 +48,96 @@ class TestFormatReal:
             assert float(format_real(v)) == v
 
 
+class TestFormatReals:
+    """``_format_reals`` writes ``format_real``'s bytes, most of them in one C pass."""
+
+    @staticmethod
+    def _assert_matches(values):
+        got = sweep._format_reals(values)
+        mismatches = [(v, g) for v, g in zip(values, got) if g != format_real(v)]
+        assert len(got) == len(values)
+        assert mismatches == []
+
+    def test_any_float(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+        )
+        def check(values):
+            self._assert_matches(values)
+
+        check()
+
+    def test_signed_zeros_and_non_finite_values(self):
+        values = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf, 5e-324]
+        self._assert_matches(values)
+        assert sweep._format_reals([]) == []
+
+    def test_uniform_values_and_random_bit_patterns(self):
+        rng = np.random.default_rng(18)
+        self._assert_matches(rng.random(100_000).tolist())
+        bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64)
+        self._assert_matches(bits.view(np.float64).tolist())
+
+    def test_short_dyadics(self):
+        # k * 2**e with k < 2000 has a short exact expansion, which numpy pads
+        values = [math.ldexp(k, e) for k in range(2000) for e in range(-60, 61, 3)]
+        self._assert_matches(values + [-v for v in values])
+
+    def test_round_half_even_ties(self):
+        # m * 2**-k is exact for m < 2**53, and its digits are those of
+        # m * 5**k: with m odd and m * 5**k of 18 digits, the value lies
+        # exactly halfway between two 17-digit neighbours
+        rng = np.random.default_rng(19)
+        values = []
+        for k in range(2, 26):
+            lo, hi = -(-(10**17) // 5**k), min((10**18 - 1) // 5**k, 2**53 - 1)
+            for m in {lo, hi, *rng.integers(lo, hi + 1, 2000).tolist()}:
+                m |= 1
+                if len(str(m * 5**k)) == 18 and m < 2**53:
+                    values.append(math.ldexp(m, -k))
+        assert len(values) > 30_000
+        self._assert_matches(values + [-v for v in values])
+
+    def test_seventeenth_digit_zero(self):
+        # 16 random digits, then a 0 (no carry), or a 9 and a 6-9 that carry
+        # into the 16th; half the exponents span the positional band, half
+        # the whole float range.  Only the floats whose 17-digit significand
+        # does end in 0 are kept.
+        rng = np.random.default_rng(20)
+        heads = rng.integers(10**15, 10**16, 100_000).tolist()
+        exps = rng.integers(-20, 1, 50_000).tolist() + rng.integers(-340, 292, 50_000).tolist()
+        tails = rng.integers(6, 10, 100_000).tolist()
+        plain = [float(f"{h}0e{e}") for h, e in zip(heads, exps)]
+        carried = [float(f"{h}9{t}e{e - 1}") for h, t, e in zip(heads, tails, exps)]
+        plain, carried = (
+            [v for v in vs if ("%#.17g" % v).partition("e")[0].endswith("0")]
+            for vs in (plain, carried)
+        )
+        assert len(plain) > 10_000 and len(carried) > 10_000
+        # where the point leads, numpy drops the digit a carry absorbs
+        assert any(len(format_real(v)) < len("%#.17g" % v) for v in carried)
+        self._assert_matches(plain + carried)
+
+    def test_notation_boundaries(self):
+        # 300 neighbours each side of the positional band's edges, and 20 of
+        # every third power of ten, where a carry moves the scientific exponent
+        edges = [(1e-4, 300), (1e16, 300), (1e17, 300)]
+        edges += [(float(f"1e{k}"), 20) for k in range(-323, 309, 3)]
+        values = []
+        for edge, steps in edges:
+            for toward in (0.0, math.inf):
+                v = edge
+                for _ in range(steps):
+                    v = float(np.nextafter(v, toward))
+                    values.append(v)
+            values.append(edge)
+        self._assert_matches(values + [-v for v in values])
+
+
 class TestSweepRecord:
     def test_rejects_probabilities_not_summing_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -321,6 +411,13 @@ class TestCsv:
         lines = to_csv(records).splitlines()[1:]
         assert [line.split(",")[1] for line in lines] == [format_real(0.0), format_real(-0.0)]
         assert [line.split(",")[3] for line in lines] == [format_real(-0.0), format_real(0.0)]
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_bytes_do_not_depend_on_the_block_size(self, monkeypatch, block):
+        records = sweep_grid(6, 3, "collapse")
+        expected = to_csv(records)
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", block)
+        assert to_csv(records) == to_csv(iter(records)) == expected
 
     def test_header_constant(self):
         assert to_csv([]) == CSV_HEADER + "\n"
