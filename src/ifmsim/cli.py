@@ -5,8 +5,9 @@ Subcommands: ``run`` (one experiment), ``sweep-cycles`` / ``sweep-absorption``
 ``verify`` (the named invariant suite).  Output goes to stdout or, with
 ``--out``, to a file; all output is deterministic byte for byte for identical
 flags and seed.  Exit codes: 0 success, 1 verification/concordance failure,
-2 usage error, an ``--out`` path that cannot be written, or an input the
-evaluation rejects with ``ValueError``.
+2 usage error, an ``--out`` path or a stdout that cannot be written (a
+pipe closed early, say), or an input the evaluation rejects with
+``ValueError``.
 
 Output is written as a sequence of text chunks.  The sweep commands
 evaluate and check every row before the first chunk exists, so a rejected
@@ -24,9 +25,11 @@ globals when it runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import math
+import os
 import sys
 
 from . import verify as verify_mod
@@ -113,16 +116,29 @@ def _add_common(p: argparse.ArgumentParser, *, absorption: bool = True) -> None:
 
 
 def _emit(chunks, out: str | None) -> None:
-    """Write the text chunks, in order, to stdout or to the file `out`."""
-    if out is None:
-        sys.stdout.writelines(chunks)
-        return
+    """Write the text chunks, in order, to stdout or to the file `out`.
+
+    A write that fails, to an unwritable path or a closed pipe, is one
+    ``ifmsim: error:`` line on stderr and exit 2.
+    """
     try:
-        # newline='' keeps the LF line terminators exactly as written
-        with open(out, "w", newline="") as f:
-            f.writelines(chunks)
+        if out is None:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        else:
+            # newline='' keeps the LF line terminators exactly as written
+            with open(out, "w", newline="") as f:
+                f.writelines(chunks)
     except OSError as e:
-        sys.stderr.write(f"ifmsim: error: cannot write {out}: {e.strerror or e}\n")
+        if out is None:
+            # the interpreter flushes stdout again at exit: send what is left to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            # a stdout with no fd, or a closed one, has nothing to redirect
+            with contextlib.suppress(OSError, ValueError):
+                os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        name = "stdout" if out is None else out
+        sys.stderr.write(f"ifmsim: error: cannot write {name}: {e.strerror or e}\n")
         raise SystemExit(2) from None
 
 

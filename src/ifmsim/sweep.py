@@ -12,10 +12,15 @@ it lands.  A row is bit for bit the record ``run_single`` gives for its own
 configuration through the float driver, whatever block it is in.  The
 public ``sweep_*`` functions build a SweepRecord per row from the columns;
 the CLI's sweep commands skip the records and format the columns straight
-into CSV text, one chunk a block, once every row has passed.  Both go
-through one line layout and one number rule, ``format_real``'s, written a
-block at a time by ``_format_reals``, so the CLI's bytes are those of
-``to_csv`` over the records.  A sweep has at most ``sys.maxsize`` counts
+into CSV text, one chunk a block, once every row has passed.  Evaluation,
+row checks, records and CSV text all walk the same blocks, each with its
+counts and angles computed in one place.  Both writers share one line
+layout and one number rule, ``format_real``'s, written a block at a time by
+``_format_reals``, so the CLI's bytes are those of ``to_csv`` over the
+records.  They fill it through two line templates, kept apart on purpose:
+``to_csv`` makes one per record, ``_Sweep.csv`` one per block with each
+absorption's and count's fields formatted once, and one template per row
+for both was measured slower.  A sweep has at most ``sys.maxsize`` counts
 and absorptions, the most a Python sequence can hold.
 
 CSV contract: header ``model,a,n,theta,p_h,p_v,p_b``; lines end with a
@@ -144,7 +149,7 @@ class _Sweep:
     bytes a row.  Each block is checked as it lands, with SweepRecord's
     probability checks, and the first failing row raises its SweepRecord's
     own message.  So a constructed sweep holds only rows that ``records``
-    and ``csv`` can emit.
+    and ``csv`` can emit.  All three walk the rows through ``_blocks``.
     """
 
     def __init__(self, a_values, n_values, model, theta) -> None:
@@ -155,58 +160,54 @@ class _Sweep:
         self.a_values = [
             CycleConfig(model=first.model, a=a, n=first.n, theta=first.theta).a for a in a_values
         ]
-        k, g = len(self.a_values), len(n_values)
-        block = _BLOCK_ROWS
-        if g >= block:  # slices of one absorption's counts
-            self.blocks = [
-                (slice(j, j + 1), slice(i, min(i + block, g)))
-                for j in range(k)
-                for i in range(0, g, block)
-            ]
-        else:  # every count, for as many absorptions as fit
-            step = block // g
-            self.blocks = [(slice(j, min(j + step, k)), slice(0, g)) for j in range(0, k, step)]
-        self.p = np.empty((3, k, g))
-        for a_part, n_part in self.blocks:
-            ns = self._counts(n_part)
-            p = _evolve_stack(self.model, self._thetas(ns), self.a_values[a_part], ns)[(0, 2, 3),]
+        self.p = np.empty((3, len(self.a_values), len(n_values)))
+        for a_part, ns, thetas, rows in self._blocks():
+            p = _evolve_stack(self.model, thetas, a_part, ns)[(0, 2, 3),]
             p[(-_CLAMP_TOL <= p) & (p < 0.0)] = 0.0  # _clamped's dust clamp
-            rows = self.p[:, a_part, n_part]
             rows[...] = p.swapaxes(1, 2)
-            self._check(rows, a_part.start, n_part.start)
+            self._check(a_part, ns, thetas, rows)
 
-    def _counts(self, part) -> list:
-        ns = list(self.n_values[part])
-        if part.start == 0:
-            ns[0] = self.n_first
-        return ns
+    def _blocks(self) -> Iterator[tuple[list, list, list, np.ndarray]]:
+        """Each block's absorptions, counts, angles and (3, k, g) view of ``self.p``, in row order.
 
-    def _thetas(self, ns) -> list:
-        if self.theta is None:
-            angle = operators.switching_angle  # looked up per call, as resolved_theta does
-            return [angle(n) for n in ns]
-        return [self.theta] * len(ns)
+        A block is a slice of one absorption's counts when there are at least
+        ``_BLOCK_ROWS`` counts, else every count for as many absorptions as fit.
+        Consecutive blocks that share a count slice share its counts and angles,
+        the same two lists, computed once.
+        """
+        k, g = len(self.a_values), len(self.n_values)
+        a_step, n_step = (1, _BLOCK_ROWS) if g >= _BLOCK_ROWS else (_BLOCK_ROWS // g, g)
+        last = None
+        for j in range(0, k, a_step):
+            for i in range(0, g, n_step):
+                if i != last:
+                    last = i
+                    ns = list(self.n_values[i : i + n_step])
+                    if i == 0:
+                        ns[0] = self.n_first
+                    angle = operators.switching_angle  # looked up per call, as resolved_theta does
+                    theta = self.theta
+                    thetas = [angle(n) for n in ns] if theta is None else [theta] * len(ns)
+                rows = self.p[:, j : j + a_step, i : i + n_step]
+                yield self.a_values[j : j + a_step], ns, thetas, rows
 
-    def _check(self, rows, j0, i0) -> None:
-        """SweepRecord's probability checks, in its order of summing, on a (3, k, g) block."""
+    def _check(self, a_part, ns, thetas, rows) -> None:
+        """SweepRecord's probability checks, in its order of summing, on one block."""
         p_h, p_v, p_b = rows
         with np.errstate(invalid="ignore"):  # inf - inf makes a failing row, not a warning
             total = p_h + p_v + p_b
             ok = (p_h >= 0.0) & (p_v >= 0.0) & (p_b >= 0.0) & (abs(total - 1.0) <= _SUM_TOL)
         if not ok.all():
             j, i = divmod(int(ok.argmin()), ok.shape[1])  # the first failing row
-            n = self._counts(slice(i0 + i, i0 + i + 1))[0]
-            theta = self._thetas([n])[0]
-            SweepRecord(self.model.value, self.a_values[j0 + j], n, theta, *rows[:, j, i].tolist())
+            SweepRecord(self.model.value, a_part[j], ns[i], thetas[i], *rows[:, j, i].tolist())
 
     def records(self) -> list[SweepRecord]:
         """One SweepRecord per row, in row order."""
         model = self.model.value
-        ns = self._counts(slice(0, len(self.n_values)))
-        thetas = self._thetas(ns)
         return [
             SweepRecord(model, a, n, t, p_h, p_v, p_b)
-            for a, hs, vs, bs in zip(self.a_values, *self.p.tolist())
+            for a_part, ns, thetas, rows in self._blocks()
+            for a, hs, vs, bs in zip(a_part, *rows.tolist())
             for n, t, p_h, p_v, p_b in zip(ns, thetas, hs, vs, bs)
         ]
 
@@ -216,27 +217,24 @@ class _Sweep:
         A block's chunk is one ``%`` over a line template: each absorption's
         ``model,a,`` prefix is formatted once a block, and each count's
         ``n,theta,`` piece once for as long as consecutive blocks share its
-        count slice; the template's ``%s`` fields take the block's
-        probabilities, formatted in one ``_format_reals`` call.
+        angles; the template's ``%s`` fields take the block's probabilities,
+        formatted in one ``_format_reals`` call.
         """
         yield CSV_HEADER + "\n"
         model = self.model.value
-        shared = None
-        for a_part, n_part in self.blocks:
-            if n_part != shared:
-                shared = n_part
-                ns = self._counts(n_part)
+        last = None
+        for a_part, ns, thetas, rows in self._blocks():
+            if thetas is not last:
+                last = thetas
                 if self.theta is None:
-                    texts = _format_reals(self._thetas(ns))
-                else:
-                    texts = _format_reals([self.theta]) * len(ns)
+                    texts = _format_reals(thetas)
+                else:  # one angle for every row, formatted once
+                    texts = _format_reals(thetas[:1]) * len(ns)
                 pieces = [f"{n},{t},%s,%s,%s" for n, t in zip(ns, texts)]
-            lines = []
-            for a in _format_reals(self.a_values[a_part]):
-                prefix = f"{model},{a},"
-                lines.append(prefix + ("\n" + prefix).join(pieces))
+            prefixes = [f"{model},{a}," for a in _format_reals(a_part)]
+            lines = [prefix + ("\n" + prefix).join(pieces) for prefix in prefixes]
             # the block's (p_h, p_v, p_b) in row order, absorption outer
-            p = self.p[:, a_part, n_part].transpose(1, 2, 0).ravel().tolist()
+            p = rows.transpose(1, 2, 0).ravel().tolist()
             yield ("\n".join(lines) + "\n") % tuple(_format_reals(p))
 
 

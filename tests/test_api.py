@@ -156,6 +156,7 @@ def test_out_of_range_probability_raises_value_error(site, value):
 
 
 def test_every_private_top_level_name_has_a_caller():
+    # top-level names, and the methods of top-level classes as Class.method
     trees = {p.name: ast.parse(p.read_text()) for p in Path(ifmsim.__file__).parent.glob("*.py")}
     defined, used = [], set()
     for file, tree in trees.items():
@@ -165,14 +166,24 @@ def test_every_private_top_level_name_has_a_caller():
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined += [(file, t.id) for t in targets if isinstance(t, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (file, f"{node.name}.{m.name}")
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                ]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    private = [(f, n) for f, n in defined if n.startswith("_") and not n.startswith("__")]
-    assert private  # the scan sees the package
-    assert [(f, n) for f, n in private if n not in used] == []
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    names = [(f, n) for f, n in defined if private(n.rpartition(".")[2])]
+    assert any("." in n for f, n in names)  # the scan sees methods
+    assert [(f, n) for f, n in names if n.rpartition(".")[2] not in used] == []
 
 
 # Modules that no import of the package or its CLI needs: each one loaded at

@@ -1,6 +1,9 @@
 import argparse
+import errno
 import hashlib
+import io
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -259,6 +262,26 @@ class TestStreamedCsv:
         assert code == 0 and out.count("\n") == 501
         assert 0 < len(calls) <= 250
 
+    def test_blocks_sharing_a_count_slice_share_its_angles(self, capsys, monkeypatch):
+        # At 8 rows a block, 10 absorptions of 3 counts are 5 blocks over one
+        # count slice: its 3 angles are computed once when the sweep evaluates
+        # the rows and once when it writes or returns them, not once a block.
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", 8)
+        calls = []
+        reference = sweep.operators.switching_angle
+
+        def counted(n):
+            calls.append(n)
+            return reference(n)
+
+        monkeypatch.setattr(sweep.operators, "switching_angle", counted)
+        code, out = _run(capsys, ["grid", "--cycles", "3", "--steps", "10"])
+        assert code == 0 and out.count("\n") == 31
+        assert calls == [1, 2, 3] * 2
+        calls.clear()
+        assert len(sweep_grid(3, 10, "coherent")) == 30
+        assert calls == [1, 2, 3] * 2
+
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         # The rows' (p_h, p_v, p_b) columns, 24 bytes a row, are the one part
         # of a sweep's traced peak that grows with its length; the engine
@@ -516,3 +539,34 @@ class TestEntryPoints:
         assert result.returncode == 0
         _, expected = _run(capsys, argv)
         assert result.stdout == expected.encode()
+
+    def test_closed_stdout_exits_two_without_traceback(self):
+        # 20,000 rows are ~2 MB, more than a pipe holds: the writes after the
+        # reader closes fail with EPIPE, as under `ifmsim sweep-cycles | head -2`
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ifmsim", "sweep-cycles", "--cycles", "20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"model,a,n,theta,p_h,p_v,p_b\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert b"Traceback" not in err
+        assert err == f"ifmsim: error: cannot write stdout: {os.strerror(errno.EPIPE)}\n".encode()
+
+    def test_failed_write_to_a_stdout_without_fd_exits_two(self, capsys, monkeypatch):
+        # a stdout object with no file descriptor (fileno() raises) has none to
+        # point at devnull: the failed write still ends in the one error line
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["grid", "--cycles", "3", "--steps", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"ifmsim: error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+        )

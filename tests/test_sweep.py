@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,32 @@ class TestStackedSweeps:
                 (a, n) for a in a_eff for n in self.COUNTS
             ]
             self._assert_rows_equal_run_single(records, model, theta)
+
+    @pytest.mark.parametrize("block", [1, 7, sweep._BLOCK_ROWS])
+    @pytest.mark.parametrize("model", list(ParticleModel), ids=lambda m: m.value)
+    def test_records_equal_run_single_at_any_block_size(self, monkeypatch, model, block):
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", block)
+        self.test_records_equal_run_single(model)
+        # a count given as a float is the int CycleConfig makes of it, in every block
+        records = sweep_absorption(3.0, 5, model)
+        assert [(type(r.n), r.n) for r in records] == [(int, 3)] * 5
+        self._assert_rows_equal_run_single(records, model, None)
+
+    def test_opposite_infinities_fail_the_row_check_without_a_warning(self, monkeypatch):
+        # p_h = inf and p_v = -inf sum to inf - inf: the row fails SweepRecord's
+        # p_v check, and the sum on the way there raises no RuntimeWarning
+        engine = sweep._evolve_stack
+
+        def infinite(model, thetas, a_values, ns):
+            out = engine(model, thetas, a_values, ns)
+            out[0], out[2] = math.inf, -math.inf  # h and v
+            return out
+
+        monkeypatch.setattr(sweep, "_evolve_stack", infinite)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^p_v must be >= 0, got -inf$"):
+                sweep_cycles(0.5, 3, "coherent")
 
     @pytest.mark.parametrize("model", list(ParticleModel), ids=lambda m: m.value)
     def test_public_sweeps_equal_run_single(self, model):
