@@ -17,9 +17,13 @@ chunk of CSV lines per block of rows, and never hold the whole table.
 The argparse tree is built once per process.  ``build_parser()`` returns a
 shallow copy of it, so a caller may set attributes on the parser it gets
 without touching the shared tree, but must not add arguments to it.
-Parsing reads the tree and never changes it, and each subcommand's ``csv``
-looks up ``run_single``, ``to_csv`` and the sweep helpers as module
-globals when it runs.
+Parsing reads the tree and never changes it.
+
+Each subcommand's ``func`` takes the parsed arguments and returns its
+output as (text chunks, exit code); ``main`` writes the chunks with one
+``_emit`` call.  The handlers look up ``run_single``, ``to_csv``,
+``evolve``, ``estimate`` and the sweep helpers as module globals when they
+run.
 """
 
 from __future__ import annotations
@@ -142,13 +146,7 @@ def _emit(chunks, out: str | None) -> None:
         raise SystemExit(2) from None
 
 
-def _cmd_csv(args) -> int:
-    """The CSV subcommands; each parser sets `csv`, args -> checked CSV text chunks."""
-    _emit(args.csv(args), args.out)
-    return 0
-
-
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[list[str], int]:
     cfg = CycleConfig(model=args.model, a=args.absorption, n=args.cycles, theta=args.theta)
     exact, _ = evolve(cfg)
     est = estimate(TrajectoryConfig(cycle=cfg, trajectories=args.trajectories, seed=args.seed))
@@ -170,14 +168,12 @@ def _cmd_oracle(args) -> int:
     max_z = float(max(abs(float(v)) for v in z))
     verdict = "PASS" if max_z <= _Z_LIMIT else "FAIL"
     lines.append(f"{verdict} max |z| = {format_real(max_z)} (tol {format_real(_Z_LIMIT)})")
-    _emit(["\n".join(lines) + "\n"], args.out)
-    return 0 if max_z <= _Z_LIMIT else 1
+    return ["\n".join(lines) + "\n"], 0 if max_z <= _Z_LIMIT else 1
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[list[str], int]:
     results = verify_mod.run_checks()
-    _emit([verify_mod.render_report(results)], args.out)
-    return 0 if all(r.passed for r in results) else 1
+    return [verify_mod.render_report(results)], 0 if all(r.passed for r in results) else 1
 
 
 @functools.cache
@@ -196,17 +192,17 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--cycles", type=_int_arg(1), required=True, metavar="N",
                    help="number of interrogation cycles")
-    p.set_defaults(func=_cmd_csv, csv=lambda args: [to_csv([run_single(
+    p.set_defaults(func=lambda args: ([to_csv([run_single(
         CycleConfig(model=args.model, a=args.absorption, n=args.cycles, theta=args.theta)
-    )])])
+    )])], 0))
 
     p = sub.add_parser("sweep-cycles", help="sweep N = 1..max at fixed absorption")
     _add_common(p)
     p.add_argument("--cycles", type=_int_arg(1), default=250, metavar="N",
                    help="maximum cycle count (default: 250)")
-    p.set_defaults(func=_cmd_csv, csv=lambda args: _Sweep(
+    p.set_defaults(func=lambda args: (_Sweep(
         [args.absorption], _cycle_counts(args.cycles), args.model, args.theta
-    ).csv())
+    ).csv(), 0))
 
     p = sub.add_parser("sweep-absorption", help="sweep absorption 0..1 at fixed N")
     _add_common(p, absorption=False)
@@ -214,9 +210,9 @@ def _parser() -> argparse.ArgumentParser:
                    help="cycle count (default: 10; 50 and 250 are the other standard regimes)")
     p.add_argument("--steps", type=_int_arg(2), default=101, metavar="K",
                    help="number of absorption grid points including both endpoints (default: 101)")
-    p.set_defaults(func=_cmd_csv, csv=lambda args: _Sweep(
+    p.set_defaults(func=lambda args: (_Sweep(
         _absorption_grid(args.steps), [args.cycles], args.model, args.theta
-    ).csv())
+    ).csv(), 0))
 
     p = sub.add_parser("grid", help="full absorption x cycles grid for heatmaps")
     _add_common(p, absorption=False)
@@ -224,9 +220,9 @@ def _parser() -> argparse.ArgumentParser:
                    help="maximum cycle count (default: 250)")
     p.add_argument("--steps", type=_int_arg(2), default=21, metavar="K",
                    help="number of absorption grid points (default: 21)")
-    p.set_defaults(func=_cmd_csv, csv=lambda args: _Sweep(
+    p.set_defaults(func=lambda args: (_Sweep(
         _absorption_grid(args.steps), _cycle_counts(args.cycles), args.model, args.theta
-    ).csv())
+    ).csv(), 0))
 
     p = sub.add_parser("oracle", help="Monte Carlo cross-check of one configuration")
     _add_common(p)
@@ -260,8 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        chunks, code = args.func(args)
+        _emit(chunks, args.out)
     except ValueError as e:
         # an input the engine rejects is a usage error, reported like an unwritable --out
         sys.stderr.write(f"ifmsim: error: {e}\n")
         raise SystemExit(2) from None
+    return code

@@ -4,11 +4,12 @@ Three sweep shapes cover the standard plots: probability versus cycle count
 at fixed absorption, probability versus absorption at fixed cycle count, and
 the full (absorption x cycles) grid for heatmaps.  Rows come in
 deterministic (a, n) order, absorption outer and cycles inner.  One path
-evaluates every sweep: parameters are checked once, one CycleConfig per
-absorption; the evolution engine's stacked driver then evolves the rows in
-blocks of about 4,096, one call a block, into (p_h, p_v, p_b) columns of
-24 bytes a row, and each block is checked with SweepRecord's own checks as
-it lands.  A row is bit for bit the record ``run_single`` gives for its own
+evaluates every sweep: parameters are checked once, the first row by a
+CycleConfig and each absorption by CycleConfig's own check of it; the
+evolution engine's stacked driver then evolves the rows in blocks of about
+4,096, one call a block, into (p_h, p_v, p_b) columns of 24 bytes a row,
+and each block is checked with SweepRecord's own checks as it lands.  A
+row is bit for bit the record ``run_single`` gives for its own
 configuration through the float driver, whatever block it is in.  The
 public ``sweep_*`` functions build a SweepRecord per row from the columns;
 the CLI's sweep commands skip the records and format the columns straight
@@ -142,14 +143,16 @@ _BLOCK_ROWS = 4096
 class _Sweep:
     """One sweep's (a, n) rows, absorption outer and cycles inner, as columns.
 
-    Construction checks the parameters, one CycleConfig per absorption,
-    raising what the first failing row's own CycleConfig would.  It then
-    evolves the rows in blocks of about ``_BLOCK_ROWS``, one stacked engine
-    call a block, into one (3, K, G) array of clamped (p_h, p_v, p_b): 24
-    bytes a row.  Each block is checked as it lands, with SweepRecord's
-    probability checks, and the first failing row raises its SweepRecord's
-    own message.  So a constructed sweep holds only rows that ``records``
-    and ``csv`` can emit.  All three walk the rows through ``_blocks``.
+    Construction checks the parameters, the first row with a CycleConfig
+    and each later absorption with the same check, raising what the first
+    failing row's own CycleConfig would.  It then evolves the rows in
+    blocks of about ``_BLOCK_ROWS``, one stacked engine call a block, into
+    one (3, K, G) array of clamped (p_h, p_v, p_b): 24 bytes a row; columns
+    that cannot be allocated raise a ValueError naming the rows and bytes.
+    Each block is checked as it lands, with SweepRecord's probability
+    checks, and the first failing row raises its SweepRecord's own message.
+    So a constructed sweep holds only rows that ``records`` and ``csv`` can
+    emit.  All three walk the rows through ``_blocks``.
     """
 
     def __init__(self, a_values, n_values, model, theta) -> None:
@@ -157,10 +160,19 @@ class _Sweep:
         self.model, self.theta = first.model, first.theta
         self.n_values = n_values
         self.n_first = first.n  # CycleConfig returned n_values[0] as an int
-        self.a_values = [
-            CycleConfig(model=first.model, a=a, n=first.n, theta=first.theta).a for a in a_values
-        ]
-        self.p = np.empty((3, len(self.a_values), len(n_values)))
+        # the first row checked the model, n and theta, so a later row can fail
+        # only CycleConfig's check of `a`, after which absent sets a to 0
+        self.a_values = [operators._check_probability(a) for a in a_values]
+        if first.model is ParticleModel.ABSENT:
+            self.a_values = [0.0] * len(a_values)
+        k, g = len(a_values), len(n_values)
+        try:
+            self.p = np.empty((3, k, g))
+        except MemoryError:
+            raise ValueError(
+                f"a sweep of {k * g} rows needs {24 * k * g} bytes of columns, "
+                "more than can be allocated"
+            ) from None
         for a_part, ns, thetas, rows in self._blocks():
             p = _evolve_stack(self.model, thetas, a_part, ns)[(0, 2, 3),]
             p[(-_CLAMP_TOL <= p) & (p < 0.0)] = 0.0  # _clamped's dust clamp

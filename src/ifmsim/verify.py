@@ -8,12 +8,17 @@ is seeded, so two runs produce byte-identical reports.
 Seeded samples are drawn one at a time, in a fixed order, and then
 built, stepped, multiplied and reduced as stacks: the step kernels, the
 Kraus sets and the operator constructors take (..., d, d) stacks, so no
-check loops over its samples to call them.  The trace, positivity and
-absorbed-population checks share one set of step outputs: ``run_checks``
-runs both step kernels on the same seeded samples once per call and hands
-the stacked states to those three checks.  In the same way the
-limiting-closed-forms and perfect-switching checks share one absent
-N = 1..100 sweep.
+check loops over its samples to call them.
+
+The suite is one table, ``_CHECKS``: each row is a check's name, the
+function that returns its (passed, detail), and the shared input it takes,
+or None.  ``run_checks`` walks the rows in order.  The trace, positivity
+and absorbed-population checks share one set of step outputs, both step
+kernels run once on the same seeded samples; the limiting-closed-forms and
+perfect-switching checks share one absent N = 1..100 sweep.  The first row
+that names an input makes it and the later rows reuse it, so each input is
+made once per run when it succeeds; an input that raises fails each check
+that names it.
 
 Operators and evolution steps are reached through their modules on purpose:
 replacing, say, ``operators.absorption`` with a broken variant makes the
@@ -73,7 +78,7 @@ def _random_states(rng, count: int, *ranges) -> tuple[np.ndarray, ...]:
     return (*params, rho)
 
 
-def _check_operator_unitarity() -> CheckResult:
+def _check_operator_unitarity() -> tuple[bool, str]:
     thetas = np.random.default_rng(_RNG_SEED).uniform(0.0, 2.0 * np.pi, size=100)
     dev = max(
         np.abs(u @ _dagger(u) - np.eye(u.shape[-1])).max()
@@ -83,12 +88,10 @@ def _check_operator_unitarity() -> CheckResult:
             operators.absorption(np.linspace(0.0, 1.0, 101)),
         )
     )
-    return CheckResult(
-        "operator-unitarity", dev <= 1e-13, f"max |U U^+ - I| = {dev:.3e} (tol 1e-13)"
-    )
+    return dev <= 1e-13, f"max |U U^+ - I| = {dev:.3e} (tol 1e-13)"
 
 
-def _check_projector_algebra() -> CheckResult:
+def _check_projector_algebra() -> tuple[bool, str]:
     labels = [operators.Basis.H, operators.Basis.V, operators.Basis.B]
     ps = {lab: operators.projector(lab) for lab in labels}
     m_nb = operators.projector(operators.NOT_B)
@@ -100,12 +103,10 @@ def _check_projector_algebra() -> CheckResult:
         for y in labels:
             if x != y:
                 ok &= np.array_equal(ps[x] @ ps[y], np.zeros((3, 3)))
-    return CheckResult(
-        "projector-algebra", bool(ok), "completeness, idempotence, orthogonality exact"
-    )
+    return ok, "completeness, idempotence, orthogonality exact"
 
 
-def _check_rotator_closed_form() -> CheckResult:
+def _check_rotator_closed_form() -> tuple[bool, str]:
     thetas = np.array([0.3, np.pi / 7.0, 1.0, 2.5, np.pi / 2.0])
     r1 = operators.rotator2(thetas)
     # gaps[n - 1]: the closed-form n-th power less the product of n left
@@ -123,25 +124,21 @@ def _check_rotator_closed_form() -> CheckResult:
     # sum over k of values[k] * outer(v_k, v_k^*), for every angle at once
     terms = values[:, None, None, :] * (vectors[:, :, None, :] * vectors.conj()[:, None, :, :])
     recon_dev = np.abs(terms.sum(axis=-1) - operators.rotator2(thetas)).max()
-    passed = power_dev <= 1e-12 and recon_dev <= 1e-13
-    return CheckResult(
-        "rotator-closed-form",
-        bool(passed),
+    return (
+        power_dev <= 1e-12 and recon_dev <= 1e-13,
         f"power dev {power_dev:.3e} (tol 1e-12), "
         f"eigen reconstruction dev {recon_dev:.3e} (tol 1e-13)",
     )
 
 
-def _check_kraus_completeness() -> CheckResult:
+def _check_kraus_completeness() -> tuple[bool, str]:
     rng = np.random.default_rng(_RNG_SEED + 1)
     dev = 0.0
     for model in (evolution.ParticleModel.COHERENT, evolution.ParticleModel.COLLAPSE):
         theta, a = _stacked(_random_params(rng) for _ in range(25))
         total = sum(_dagger(k) @ k for k in evolution.kraus_operators(model, theta, a))
         dev = max(dev, np.abs(total - np.eye(3)).max())
-    return CheckResult(
-        "kraus-completeness", dev <= 1e-13, f"max |sum K^+K - I| = {dev:.3e} (tol 1e-13)"
-    )
+    return dev <= 1e-13, f"max |sum K^+K - I| = {dev:.3e} (tol 1e-13)"
 
 
 def _step_outputs() -> tuple[np.ndarray, np.ndarray]:
@@ -159,48 +156,39 @@ def _step_outputs() -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([rho, rho]), outs
 
 
-def _check_trace_preservation(rhos, outs) -> CheckResult:
+def _check_trace_preservation(rhos, outs) -> tuple[bool, str]:
     drift = np.trace(outs, axis1=1, axis2=2) - np.trace(rhos, axis1=1, axis2=2)
     dev = np.abs(drift).max()
-    return CheckResult(
-        "trace-preservation", dev <= 1e-13, f"max trace drift {dev:.3e} (tol 1e-13)"
-    )
+    return dev <= 1e-13, f"max trace drift {dev:.3e} (tol 1e-13)"
 
 
-def _check_positivity_preservation(rhos, outs) -> CheckResult:
+def _check_positivity_preservation(rhos, outs) -> tuple[bool, str]:
     outs_h = _dagger(outs)
     herm_dev = np.abs(outs - outs_h).max()
     ok = linalg.is_hermitian(outs, evolution.HERMITICITY_TOL)
     min_eig = np.linalg.eigvalsh(0.5 * (outs + outs_h)).min()
     ok &= linalg.is_psd(outs, evolution.PSD_TOL)
-    return CheckResult(
-        "positivity-preservation",
-        bool(ok),
+    return (
+        ok,
         f"max hermiticity dev {herm_dev:.3e} (tol 1e-12), "
         f"min eigenvalue {min_eig:.3e} (floor -1e-10)",
     )
 
 
-def _check_absorbed_fixed_point() -> CheckResult:
+def _check_absorbed_fixed_point() -> tuple[bool, str]:
     rho_b = np.zeros((3, 3), dtype=complex)
     rho_b[2, 2] = 1.0
     rng = np.random.default_rng(_RNG_SEED + 3)
     theta, a = _stacked(_random_params(rng) for _ in range(20))
     ok = (evolution.step_coherent(rho_b, theta, a) == rho_b).all()
     ok &= (evolution.step_collapse(rho_b, theta, a) == rho_b).all()
-    return CheckResult(
-        "absorbed-state-fixed-point", bool(ok), "|B><B| invariant exactly, both models"
-    )
+    return ok, "|B><B| invariant exactly, both models"
 
 
-def _check_absorbed_monotone(rhos, outs) -> CheckResult:
+def _check_absorbed_monotone(rhos, outs) -> tuple[bool, str]:
     # np.maximum keeps a NaN decrease, so a NaN output fails the check
     worst = float(np.maximum(0.0, rhos[:, 2, 2].real - outs[:, 2, 2].real).max())
-    return CheckResult(
-        "absorbed-population-monotone",
-        worst <= 1e-13,
-        f"max decrease {worst:.3e} (tol 1e-13)",
-    )
+    return worst <= 1e-13, f"max decrease {worst:.3e} (tol 1e-13)"
 
 
 def _absent_sweep() -> tuple[list]:
@@ -208,7 +196,7 @@ def _absent_sweep() -> tuple[list]:
     return (sweep.sweep_cycles(0.0, 100, "absent"),)
 
 
-def _check_limiting_closed_forms(absent) -> CheckResult:
+def _check_limiting_closed_forms(absent) -> tuple[bool, str]:
     rows = [*absent, *sweep.sweep_cycles(1.0, 100, "coherent")]
     evolved = [(r.p_h, r.p_v, r.p_b) for r in rows]
     exact = [
@@ -216,23 +204,21 @@ def _check_limiting_closed_forms(absent) -> CheckResult:
         *(evolution.closed_form_perfect_absorber(r.theta, r.n) for r in rows[100:]),
     ]
     dev = np.abs(np.array(evolved) - np.array(exact)).max()
-    return CheckResult(
-        "limiting-closed-forms",
+    return (
         dev <= 1e-10,
         f"max closed-form deviation {dev:.3e} over N = 1..100 (tol 1e-10)",
     )
 
 
-def _check_perfect_switching(absent) -> CheckResult:
+def _check_perfect_switching(absent) -> tuple[bool, str]:
     min_pv = min(1.0, *(r.p_v for r in absent))
-    return CheckResult(
-        "perfect-switching",
+    return (
         min_pv >= 1.0 - 1e-10,
         f"min p_v = {min_pv:.12f} over N = 1..100 with auto theta (needs >= 1-1e-10)",
     )
 
 
-def _check_model_equivalence() -> CheckResult:
+def _check_model_equivalence() -> tuple[bool, str]:
     rng = np.random.default_rng(_RNG_SEED + 4)
     devs = {}
     for a in (0.0, 1.0):
@@ -240,15 +226,13 @@ def _check_model_equivalence() -> CheckResult:
         devs[a] = np.abs(
             evolution.step_coherent(rho, theta, a) - evolution.step_collapse(rho, theta, a)
         ).max()
-    passed = devs[0.0] <= 1e-12 and devs[1.0] <= 1e-12
-    return CheckResult(
-        "model-equivalence-extremes",
-        bool(passed),
+    return (
+        devs[0.0] <= 1e-12 and devs[1.0] <= 1e-12,
         f"max step gap {devs[0.0]:.3e} at a=0, {devs[1.0]:.3e} at a=1 (tol 1e-12)",
     )
 
 
-def _check_oracle_concordance() -> CheckResult:
+def _check_oracle_concordance() -> tuple[bool, str]:
     cells = [
         (evolution.ParticleModel.COHERENT, 0.5, 10),
         (evolution.ParticleModel.COLLAPSE, 0.5, 10),
@@ -260,73 +244,51 @@ def _check_oracle_concordance() -> CheckResult:
         exact, _ = evolution.evolve(cfg)
         est = oracle.estimate(oracle.TrajectoryConfig(cycle=cfg, trajectories=20000, seed=0))
         worst = max(worst, float(np.abs(oracle.compare(est, exact)).max()))
-    return CheckResult(
-        "oracle-concordance",
+    return (
         worst <= 4.0,
         f"max |z| = {worst:.3f} over 3 cells at 20000 trajectories (tol 4)",
     )
 
 
+# (name, check, shared input): a check takes no arguments when its input is
+# None, else the arguments its input function returns.
 _CHECKS = [
-    ("operator-unitarity", _check_operator_unitarity),
-    ("projector-algebra", _check_projector_algebra),
-    ("rotator-closed-form", _check_rotator_closed_form),
-    ("kraus-completeness", _check_kraus_completeness),
-    ("trace-preservation", _check_trace_preservation),
-    ("positivity-preservation", _check_positivity_preservation),
-    ("absorbed-state-fixed-point", _check_absorbed_fixed_point),
-    ("absorbed-population-monotone", _check_absorbed_monotone),
-    ("limiting-closed-forms", _check_limiting_closed_forms),
-    ("perfect-switching", _check_perfect_switching),
-    ("model-equivalence-extremes", _check_model_equivalence),
-    ("oracle-concordance", _check_oracle_concordance),
+    ("operator-unitarity", _check_operator_unitarity, None),
+    ("projector-algebra", _check_projector_algebra, None),
+    ("rotator-closed-form", _check_rotator_closed_form, None),
+    ("kraus-completeness", _check_kraus_completeness, None),
+    ("trace-preservation", _check_trace_preservation, _step_outputs),
+    ("positivity-preservation", _check_positivity_preservation, _step_outputs),
+    ("absorbed-state-fixed-point", _check_absorbed_fixed_point, None),
+    ("absorbed-population-monotone", _check_absorbed_monotone, _step_outputs),
+    ("limiting-closed-forms", _check_limiting_closed_forms, _absent_sweep),
+    ("perfect-switching", _check_perfect_switching, _absent_sweep),
+    ("model-equivalence-extremes", _check_model_equivalence, None),
+    ("oracle-concordance", _check_oracle_concordance, None),
 ]
-
-# Inputs that several checks share, each computed once per run: a function
-# returning the arguments, and the checks that take them.
-_SHARED = (
-    (
-        _step_outputs,
-        (_check_trace_preservation, _check_positivity_preservation, _check_absorbed_monotone),
-    ),
-    (_absent_sweep, (_check_limiting_closed_forms, _check_perfect_switching)),
-)
-
-
-def _raised(name: str, exc: Exception) -> CheckResult:
-    return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
-
-
-def _run(name: str, fn, *args) -> CheckResult:
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return _raised(name, exc)
-
-
-def _shared_check_results(make, fns) -> dict[str, CheckResult]:
-    """Results of the checks `fns` by name, from one call of `make`, which
-    returns their arguments; if that call raises, each check fails with it."""
-    shared = [(name, fn) for name, fn in _CHECKS if fn in fns]
-    try:
-        args = make()
-    except Exception as exc:
-        return {name: _raised(name, exc) for name, _ in shared}
-    return {name: _run(name, fn, *args) for name, fn in shared}
 
 
 def run_checks() -> list[CheckResult]:
-    """Run every named check; deterministic order and content.
+    """Run every named check, in table order; deterministic order and content.
 
     A check that raises counts as a failure of that check rather than
-    aborting the suite: broken inputs must yield a named FAIL line.  The
-    checks that share an input run first, so each input is freed before the
-    next is made and before the rest run; nothing is kept between calls.
+    aborting the suite: broken inputs must yield a named FAIL line.  A
+    shared input is made by the first check that names it and kept for the
+    later ones, so it is made once per call when it succeeds; an input that
+    raises fails each check that names it.  Nothing is kept between calls.
     """
-    shared = {}
-    for make, fns in _SHARED:
-        shared.update(_shared_check_results(make, fns))
-    return [shared[name] if name in shared else _run(name, fn) for name, fn in _CHECKS]
+    inputs = {None: ()}  # each shared input's arguments, once made
+    results = []
+    for name, check, make in _CHECKS:
+        try:
+            if make not in inputs:
+                inputs[make] = make()
+            passed, detail = check(*inputs[make])
+            result = CheckResult(name, bool(passed), detail)
+        except Exception as exc:
+            result = CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
+        results.append(result)
+    return results
 
 
 def render_report(results) -> str:

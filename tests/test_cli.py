@@ -440,6 +440,25 @@ class TestHugeSweepCounts:
         assert result.stderr.count(b"\n") == 1 and result.stderr.startswith(b"ifmsim: error: ")
         assert not path.exists()
 
+    def test_columns_that_cannot_be_allocated_exit_two_with_one_line_and_no_file(
+        self, capsys, tmp_path
+    ):
+        # 2^40 counts x 1,024 absorptions: 24 PiB of columns, more than any
+        # 64-bit user address space, so numpy refuses them without touching memory
+        path = tmp_path / "grid.csv"
+        argv = ["grid", "--cycles", str(2**40), "--steps", "1024"]
+        for out in ([], ["--out", str(path)]):
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv + out)
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"ifmsim: error: a sweep of {2**50} rows needs {24 * 2**50} bytes of "
+                "columns, more than can be allocated\n"
+            )
+        assert not path.exists()
+
     def test_the_largest_count_passes_the_check(self):
         # the range is built, not walked: nothing of its length is allocated
         assert len(sweep._cycle_counts(sys.maxsize)) == sys.maxsize

@@ -398,6 +398,21 @@ class TestStackedSweeps:
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             sweep._Sweep([a, 0.5], [n, 4], model, theta).records()
 
+    @pytest.mark.parametrize("model", ["coherent", "absent"])
+    @pytest.mark.parametrize("a", [2.0, -0.5, math.nan])
+    def test_rejects_a_later_absorption_as_its_rows_config_does(self, model, a):
+        with pytest.raises(ValueError) as expected:
+            CycleConfig(model=model, a=a, n=3)
+        with pytest.raises(ValueError) as got:
+            sweep._Sweep([0.5, 0.25, a], [3, 4], model, None)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("model,sign", [("coherent", -1.0), ("absent", 1.0)])
+    def test_a_later_negative_zero_absorption_is_its_rows_config_value(self, model, sign):
+        a = sweep._Sweep([0.5, -0.0], [3, 4], model, None).records()[2].a
+        assert a == 0.0 and math.copysign(1.0, a) == sign
+        assert math.copysign(1.0, CycleConfig(model=model, a=-0.0, n=3).a) == sign
+
 
 class TestCsv:
     def test_golden_bytes(self):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -315,6 +317,30 @@ class TestCheckResult:
         result = CheckResult("name", True, "detail")
         with pytest.raises(AttributeError):
             result.passed = False
+
+    @pytest.mark.parametrize("sabotage", [None, "crooked", "raising"])
+    def test_passed_is_a_bool_and_results_serialise(self, monkeypatch, sabotage):
+        # Several checks compare a numpy deviation with a tolerance; the
+        # result still holds a Python bool, so it serialises to JSON.
+        real_absorption = ifmsim.operators.absorption
+
+        def crooked(a):
+            m = real_absorption(a)
+            m[..., 1, 2] = -m[..., 1, 2]
+            return m
+
+        def raising(a):
+            raise RuntimeError("absorber unavailable")
+
+        if sabotage is not None:
+            monkeypatch.setattr(
+                ifmsim.operators, "absorption", {"crooked": crooked, "raising": raising}[sabotage]
+            )
+        results = run_checks()
+        assert all(r.passed for r in results) == (sabotage is None)
+        for r in results:
+            assert type(r.passed) is bool, r.name
+            assert json.loads(json.dumps(dataclasses.asdict(r))) == dataclasses.asdict(r)
 
     def test_oracle_concordance_has_z_detail(self):
         results = _by_name(run_checks())
