@@ -7,7 +7,7 @@ Subcommands: ``run`` (one experiment), ``sweep-cycles`` / ``sweep-absorption``
 flags and seed.  Exit codes: 0 success, 1 verification/concordance failure,
 2 usage error, an ``--out`` path or a stdout that cannot be written (a
 pipe closed early, say), or an input the evaluation rejects with
-``ValueError``.
+``ValueError`` or cannot allocate (``MemoryError``).
 
 Output is written as a sequence of text chunks.  The sweep commands
 evaluate and check every row before the first chunk exists, so a rejected
@@ -258,8 +258,9 @@ def main(argv=None) -> int:
     try:
         chunks, code = args.func(args)
         _emit(chunks, args.out)
-    except ValueError as e:
-        # an input the engine rejects is a usage error, reported like an unwritable --out
+    except (ValueError, MemoryError) as e:
+        # an input the engine rejects, or that numpy will not allocate, is a
+        # usage error, reported like an unwritable --out
         sys.stderr.write(f"ifmsim: error: {e}\n")
         raise SystemExit(2) from None
     return code

@@ -23,7 +23,8 @@ return a ``(..., d, d)`` stack, one matrix per element, each bit for bit
 the matrix of that element's scalar call.  A scalar argument gives one
 ``(d, d)`` matrix through the same code.  ``rotator_eigen`` takes arrays
 the same way: its values are a ``(..., 2)`` and its vectors a
-``(..., 2, 2)`` stack.
+``(..., 2, 2)`` stack.  ``switching_angle`` takes an array of counts and
+returns an array of angles, each bit for bit its scalar call's float.
 """
 
 from __future__ import annotations
@@ -114,14 +115,15 @@ def _check_float_count(value, lo: int, message: str) -> int:
     return v
 
 
-def _check_counts(n, lo: int, message: str) -> np.ndarray:
-    """`n` as a float array, 0-d for a scalar, of integers in [lo, `_MAX_COUNT`].
+def _check_counts(n, lo: int, message: str) -> np.ndarray | float:
+    """`n` as a float array, or a float for a scalar, of integers in [lo, `_MAX_COUNT`].
 
     A scalar goes through `_check_float_count`; an array raises
     ValueError(message) if any element is not such an integer.
     """
-    if np.ndim(n) == 0:
-        return np.float64(_check_float_count(n, lo, message))
+    # a Python number skips np.ndim, which would convert it to an array
+    if isinstance(n, (int, float)) or np.ndim(n) == 0:
+        return float(_check_float_count(n, lo, message))
     nv = np.asarray(n, dtype=float)
     if not (np.isfinite(nv) & (nv >= lo) & (nv == np.floor(nv))).all():
         raise ValueError(message)
@@ -239,7 +241,11 @@ def projector(label) -> np.ndarray:
     return m
 
 
-def switching_angle(n: int) -> float:
-    """The per-cycle angle pi/(2n) that maps |H> to |V> after n cycles."""
+def switching_angle(n) -> float | np.ndarray:
+    """The per-cycle angle pi/(2n) that maps |H> to |V> after n cycles.
+
+    An array of counts gives an array of angles, each bit for bit its
+    element's scalar call; a scalar count gives a float.
+    """
     # (pi/2)/n rounds the same real number as pi/(2n), without overflowing 2n
-    return 0.5 * math.pi / _check_float_count(n, 1, "cycle count must be a positive integer")
+    return 0.5 * math.pi / _check_counts(n, 1, "cycle count must be a positive integer")

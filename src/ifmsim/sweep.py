@@ -22,7 +22,11 @@ records.  They fill it through two line templates, kept apart on purpose:
 ``to_csv`` makes one per record, ``_Sweep.csv`` one per block with each
 absorption's and count's fields formatted once, and one template per row
 for both was measured slower.  A sweep has at most ``sys.maxsize`` counts
-and absorptions, the most a Python sequence can hold.
+and absorptions, the most a Python sequence can hold.  The counts are a
+range, or a list of one, and each block's angles are one
+``switching_angle`` call on its counts; the absorption grid is one
+float64 array, which numpy refuses with a MemoryError or ValueError when
+it is too large to allocate.
 
 CSV contract: header ``model,a,n,theta,p_h,p_v,p_b``; lines end with a
 single line feed, including the last.  Every real is written with 17
@@ -152,19 +156,20 @@ class _Sweep:
     Each block is checked as it lands, with SweepRecord's probability
     checks, and the first failing row raises its SweepRecord's own message.
     So a constructed sweep holds only rows that ``records`` and ``csv`` can
-    emit.  All three walk the rows through ``_blocks``.
+    emit.  All three walk the rows through ``_blocks``.  ``n_values`` is a
+    range of int counts (``_cycle_counts``) or a list of one count.
     """
 
     def __init__(self, a_values, n_values, model, theta) -> None:
         first = CycleConfig(model=model, a=a_values[0], n=n_values[0], theta=theta)
         self.model, self.theta = first.model, first.theta
-        self.n_values = n_values
-        self.n_first = first.n  # CycleConfig returned n_values[0] as an int
+        # a lone count is replaced by the int CycleConfig made of it
+        self.n_values = n_values if len(n_values) > 1 else [first.n]
         # the first row checked the model, n and theta, so a later row can fail
         # only CycleConfig's check of `a`, after which absent sets a to 0
-        self.a_values = [operators._check_probability(a) for a in a_values]
+        self.a_values = operators._check_probabilities(a_values)
         if first.model is ParticleModel.ABSENT:
-            self.a_values = [0.0] * len(a_values)
+            self.a_values = np.zeros_like(self.a_values)
         k, g = len(a_values), len(n_values)
         try:
             self.p = np.empty((3, k, g))
@@ -173,35 +178,32 @@ class _Sweep:
                 f"a sweep of {k * g} rows needs {24 * k * g} bytes of columns, "
                 "more than can be allocated"
             ) from None
-        for a_part, ns, thetas, rows in self._blocks():
+        for _, a_part, ns, thetas, rows in self._blocks():
             p = _evolve_stack(self.model, thetas, a_part, ns)[(0, 2, 3),]
             p[(-_CLAMP_TOL <= p) & (p < 0.0)] = 0.0  # _clamped's dust clamp
             rows[...] = p.swapaxes(1, 2)
             self._check(a_part, ns, thetas, rows)
 
-    def _blocks(self) -> Iterator[tuple[list, list, list, np.ndarray]]:
-        """Each block's absorptions, counts, angles and (3, k, g) view of ``self.p``, in row order.
+    def _blocks(self) -> Iterator[tuple[int, list, list, list, np.ndarray]]:
+        """Each block's first count's index, absorptions, counts, angles and view of ``self.p``.
 
-        A block is a slice of one absorption's counts when there are at least
-        ``_BLOCK_ROWS`` counts, else every count for as many absorptions as fit.
-        Consecutive blocks that share a count slice share its counts and angles,
-        the same two lists, computed once.
+        Blocks come in row order, each with its (3, k, g) view.  A block is a
+        slice of one absorption's counts when there are at least
+        ``_BLOCK_ROWS`` counts, else every count for as many absorptions as
+        fit.  With the switching angle, a block's angles come from one
+        ``switching_angle`` call on its counts, as an array.
         """
         k, g = len(self.a_values), len(self.n_values)
         a_step, n_step = (1, _BLOCK_ROWS) if g >= _BLOCK_ROWS else (_BLOCK_ROWS // g, g)
-        last = None
         for j in range(0, k, a_step):
             for i in range(0, g, n_step):
-                if i != last:
-                    last = i
-                    ns = list(self.n_values[i : i + n_step])
-                    if i == 0:
-                        ns[0] = self.n_first
-                    angle = operators.switching_angle  # looked up per call, as resolved_theta does
-                    theta = self.theta
-                    thetas = [angle(n) for n in ns] if theta is None else [theta] * len(ns)
+                ns = list(self.n_values[i : i + n_step])
+                if self.theta is None:  # switching_angle looked up per call, as resolved_theta does
+                    thetas = operators.switching_angle(np.array(ns, dtype=float)).tolist()
+                else:
+                    thetas = [self.theta] * len(ns)
                 rows = self.p[:, j : j + a_step, i : i + n_step]
-                yield self.a_values[j : j + a_step], ns, thetas, rows
+                yield i, self.a_values[j : j + a_step].tolist(), ns, thetas, rows
 
     def _check(self, a_part, ns, thetas, rows) -> None:
         """SweepRecord's probability checks, in its order of summing, on one block."""
@@ -218,7 +220,7 @@ class _Sweep:
         model = self.model.value
         return [
             SweepRecord(model, a, n, t, p_h, p_v, p_b)
-            for a_part, ns, thetas, rows in self._blocks()
+            for _, a_part, ns, thetas, rows in self._blocks()
             for a, hs, vs, bs in zip(a_part, *rows.tolist())
             for n, t, p_h, p_v, p_b in zip(ns, thetas, hs, vs, bs)
         ]
@@ -229,15 +231,15 @@ class _Sweep:
         A block's chunk is one ``%`` over a line template: each absorption's
         ``model,a,`` prefix is formatted once a block, and each count's
         ``n,theta,`` piece once for as long as consecutive blocks share its
-        angles; the template's ``%s`` fields take the block's probabilities,
-        formatted in one ``_format_reals`` call.
+        count slice; the template's ``%s`` fields take the block's
+        probabilities, formatted in one ``_format_reals`` call.
         """
         yield CSV_HEADER + "\n"
         model = self.model.value
         last = None
-        for a_part, ns, thetas, rows in self._blocks():
-            if thetas is not last:
-                last = thetas
+        for start, a_part, ns, thetas, rows in self._blocks():
+            if start != last:
+                last = start
                 if self.theta is None:
                     texts = _format_reals(thetas)
                 else:  # one angle for every row, formatted once
@@ -262,9 +264,12 @@ def _cycle_counts(n_max) -> range:
     return range(1, _sweep_count(n_max, 1, "n_max") + 1)
 
 
-def _absorption_grid(steps) -> list[float]:
+def _absorption_grid(steps) -> np.ndarray:
     steps = _sweep_count(steps, 2, "steps")
-    return [i / (steps - 1) for i in range(steps)]
+    grid = np.arange(steps) / (steps - 1)  # i / (steps - 1), each operand exact
+    if len(grid) != steps:  # numpy's arange comes back empty near sys.maxsize
+        raise ValueError(f"an absorption grid of {steps} steps cannot be allocated")
+    return grid
 
 
 def sweep_cycles(a, n_max, model, theta=None) -> list[SweepRecord]:

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ifmsim import cli, sweep
@@ -262,25 +263,44 @@ class TestStreamedCsv:
         assert code == 0 and out.count("\n") == 501
         assert 0 < len(calls) <= 250
 
-    def test_blocks_sharing_a_count_slice_share_its_angles(self, capsys, monkeypatch):
+    def test_one_angle_call_a_block_and_one_angle_format_a_walk(self, capsys, monkeypatch):
         # At 8 rows a block, 10 absorptions of 3 counts are 5 blocks over one
-        # count slice: its 3 angles are computed once when the sweep evaluates
-        # the rows and once when it writes or returns them, not once a block.
+        # count slice, walked once to evaluate the rows and once to write or
+        # return them.  Each block takes its angles from one switching_angle
+        # call on its counts as an array, and csv() formats the slice's angles
+        # once a walk, not once a block: formatting them per block cost 34% on
+        # grid --cycles 3000 --steps 100.  An explicit theta calls no angle.
         monkeypatch.setattr(sweep, "_BLOCK_ROWS", 8)
-        calls = []
-        reference = sweep.operators.switching_angle
+        angle, format_reals = sweep.operators.switching_angle, sweep._format_reals
+        counts, formatted = [], []
 
-        def counted(n):
-            calls.append(n)
-            return reference(n)
+        def counted_angle(n):
+            counts.append(n)
+            return angle(n)
 
-        monkeypatch.setattr(sweep.operators, "switching_angle", counted)
+        def counted_format(values):
+            formatted.append(list(values))
+            return format_reals(values)
+
+        monkeypatch.setattr(sweep.operators, "switching_angle", counted_angle)
+        monkeypatch.setattr(sweep, "_format_reals", counted_format)
+        thetas = [angle(n) for n in (1, 2, 3)]
         code, out = _run(capsys, ["grid", "--cycles", "3", "--steps", "10"])
         assert code == 0 and out.count("\n") == 31
-        assert calls == [1, 2, 3] * 2
-        calls.clear()
-        assert len(sweep_grid(3, 10, "coherent")) == 30
-        assert calls == [1, 2, 3] * 2
+        assert len(counts) == 2 * 5
+        assert all(type(n) is np.ndarray and n.tolist() == [1, 2, 3] for n in counts)
+        assert formatted.count(thetas) == 1
+        counts.clear()
+        assert [r.theta for r in sweep_grid(3, 10, "coherent")] == thetas * 10
+        assert len(counts) == 2 * 5
+        assert all(type(n) is np.ndarray and n.tolist() == [1, 2, 3] for n in counts)
+        counts.clear()
+        formatted.clear()
+        code, out = _run(capsys, ["grid", "--cycles", "3", "--steps", "10", "--theta", "0.3"])
+        assert code == 0 and out.count("\n") == 31
+        assert formatted.count([0.3]) == 1
+        assert len(sweep_grid(3, 10, "coherent", 0.3)) == 30
+        assert counts == []
 
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         # The rows' (p_h, p_v, p_b) columns, 24 bytes a row, are the one part
@@ -393,6 +413,26 @@ class TestUsageErrors:
         assert err.value.code == 2
         assert capsys.readouterr().err.rstrip().endswith(f"{argv[-2]}: {message}")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["run", "--cycles", "3", "--absorption", "x"],
+                "argument --absorption: not a number: 'x'",
+            ),
+            (["run", "--cycles", "3", "--theta", "inf"], "argument --theta: theta must be finite"),
+            (["grid", "--theta", "nan"], "argument --theta: theta must be finite"),
+        ],
+    )
+    def test_bad_real_option(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith(f"usage: ifmsim {argv[0]} ")
+        assert err_text.endswith(f"\nifmsim {argv[0]}: error: {message}\n")
+        assert err_text.count("error:") == 1 and "Traceback" not in err_text
+
     def test_evaluation_value_error_is_one_line_exit_two(self, capsys, monkeypatch):
         def rejects(cycle):
             raise ValueError("probabilities must sum to 1, got 1.5")
@@ -457,6 +497,24 @@ class TestHugeSweepCounts:
                 f"ifmsim: error: a sweep of {2**50} rows needs {24 * 2**50} bytes of "
                 "columns, more than can be allocated\n"
             )
+        assert not path.exists()
+
+    @pytest.mark.parametrize("steps", [2**55, 2**62, sys.maxsize - 1, sys.maxsize])
+    @pytest.mark.parametrize("command", ["sweep-absorption", "grid"])
+    def test_grids_too_large_to_build_exit_two_with_one_line_and_no_file(
+        self, capsys, tmp_path, command, steps
+    ):
+        # numpy refuses each grid without touching memory: 2^55 steps (256 PiB
+        # of int64) as a MemoryError, 2^62 as an array too big to size, and
+        # the two largest counts with an empty arange that the grid rejects
+        path = tmp_path / "sweep.csv"
+        for out in ([], ["--out", str(path)]):
+            with pytest.raises(SystemExit) as err:
+                cli.main([command, "--steps", str(steps), *out])
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("ifmsim: error: ") and captured.err.count("\n") == 1
         assert not path.exists()
 
     def test_the_largest_count_passes_the_check(self):

@@ -240,6 +240,26 @@ class TestStackedConstructors:
         with pytest.raises(ValueError, match="^n must be a non-negative integer$"):
             rotator_power(0.3, np.array([1.0, 4.0, bad, 7.0]))
 
+    def test_switching_angle_with_array_n(self):
+        # counts above 2^53 round to a float on the way in, in both calls alike
+        n = np.array([*range(1, 4097), 2**53 + 1, 2**53 + 3, 2**62 + 1, 2**63 - 1])
+        expected = [switching_angle(int(k)) for k in n]
+        for arg in (n, n.astype(float), n.tolist()):
+            out = switching_angle(arg)
+            assert out.shape == (4100,)
+            _assert_same_bits(out, np.array(expected))
+        assert switching_angle(n.reshape(4, 1025)).shape == (4, 1025)
+
+    @pytest.mark.parametrize("n", [24, 24.0, np.int64(24), np.array(24)], ids=repr)
+    def test_switching_angle_of_a_scalar_is_a_float(self, n):
+        assert type(switching_angle(n)) is float
+        assert switching_angle(n) == np.pi / 48
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, np.nan, np.inf])
+    def test_switching_angle_rejects_a_bad_n_element(self, bad):
+        with pytest.raises(ValueError, match="^cycle count must be a positive integer$"):
+            switching_angle(np.array([1.0, 4.0, bad, 7.0]))
+
     @pytest.mark.parametrize("bad", [-0.01, 1.01, np.nan, np.inf], ids=str)
     def test_bad_absorption_element_raises_its_scalar_message(self, bad):
         message = f"absorption probability must be in [0, 1], got {bad!r}"
