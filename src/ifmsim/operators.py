@@ -119,12 +119,16 @@ def _check_counts(n, lo: int, message: str) -> np.ndarray | float:
     """`n` as a float array, or a float for a scalar, of integers in [lo, `_MAX_COUNT`].
 
     A scalar goes through `_check_float_count`; an array raises
-    ValueError(message) if any element is not such an integer.
+    ValueError(message) if any element is not such an integer, and
+    `_check_float_count`'s ValueError for an int too large to convert.
     """
     # a Python number skips np.ndim, which would convert it to an array
     if isinstance(n, (int, float)) or np.ndim(n) == 0:
         return float(_check_float_count(n, lo, message))
-    nv = np.asarray(n, dtype=float)
+    try:
+        nv = np.asarray(n, dtype=float)
+    except OverflowError:  # an int that rounds to 2**1024 or more
+        raise ValueError(f"{message} no larger than {_MAX_COUNT!r}") from None
     if not (np.isfinite(nv) & (nv >= lo) & (nv == np.floor(nv))).all():
         raise ValueError(message)
     return nv

@@ -16,15 +16,15 @@ the CLI's sweep commands skip the records and format the columns straight
 into CSV text, one chunk a block, once every row has passed.  Evaluation,
 row checks, records and CSV text all walk the same blocks, each with its
 counts and angles computed in one place.  Both writers share one line
-layout and one number rule, ``format_real``'s, written a block at a time by
-``_format_reals``, so the CLI's bytes are those of ``to_csv`` over the
-records.  They fill it through two line templates, kept apart on purpose:
-``to_csv`` makes one per record, ``_Sweep.csv`` one per block with each
-absorption's and count's fields formatted once, and one template per row
-for both was measured slower.  A sweep has at most ``sys.maxsize`` counts
-and absorptions, the most a Python sequence can hold.  The counts are a
-range, or a list of one, and each block's angles are one
-``switching_angle`` call on its counts; the absorption grid is one
+layout and one number rule, written a block at a time by ``_format_reals``
+(``format_real`` is its one-value call), so the CLI's bytes are those of
+``to_csv`` over the records.  They fill it through two line templates,
+kept apart on purpose: ``to_csv`` makes one per record, ``_Sweep.csv`` one
+per block with each absorption's and count's fields formatted once, and
+one template per row for both was measured slower.  A sweep has at most
+``sys.maxsize`` counts and absorptions, the most a Python sequence can
+hold.  The counts are a range, or a list of one, and each block's angles
+are one ``switching_angle`` call on its counts; the absorption grid is one
 float64 array, which numpy refuses with a MemoryError or ValueError when
 it is too large to allocate.
 
@@ -33,12 +33,13 @@ single line feed, including the last.  Every real is written with 17
 significant digits, correctly rounded with ties to even, so values
 round-trip losslessly and output is byte-stable.  Notation is positional
 for zero and for magnitudes in [1e-4, 1e17), scientific (``d.<16
-digits>e±XX``) otherwise, chosen from the unrounded value.  Where the
-digits run short, numpy's rule holds: an exact expansion of fewer digits
-(0.5), or a rounding carry that leaves fewer (0.25506902573942169532...),
-is padded with zeros to 17 digits in all, counting a leading 0 and the
-zeros after the point: ``0.5000000000000000``, ``3.0000000000000000``,
-``0.0001220703125000``, ``0.2550690257394217``.
+digits>e±XX``) otherwise, chosen from the unrounded value.  One rule,
+numpy's, changes a positional text below 1 that ends in ``0``: where its
+17-digit decimal D is at least |v|, the expansion being exact (0.5) or the
+rounding having carried (0.25506902573942169532...), the text drops its
+trailing zeros and is padded back to 16 decimals: ``0.5000000000000000``,
+``0.0001220703125000``, ``0.2550690257394217``.  Where D < |v| the text
+stands: ``0.00010000000000000000`` for 1e-4.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class _Sweep:
             for i in range(0, g, n_step):
                 ns = list(self.n_values[i : i + n_step])
                 if self.theta is None:  # switching_angle looked up per call, as resolved_theta does
-                    thetas = operators.switching_angle(np.array(ns, dtype=float)).tolist()
+                    thetas = operators.switching_angle(np.array(ns)).tolist()
                 else:
                     thetas = [self.theta] * len(ns)
                 rows = self.p[:, j : j + a_step, i : i + n_step]
@@ -294,46 +295,35 @@ def sweep_grid(n_max, a_steps, model, theta=None) -> list[SweepRecord]:
 
 
 def format_real(x: float) -> str:
-    """Render a float deterministically and round-trip exact.
+    """Render a float by the CSV contract's rule: 17 digits, round-trip exact.
 
-    Up to 17 significant digits, zero padded, so float() recovers the exact
-    value.  Positional notation for 0 and for magnitudes in [1e-4, 1e17);
+    Positional notation for 0 and for magnitudes in [1e-4, 1e17);
     scientific notation otherwise.
     """
-    v = float(x)
-    if v != 0.0 and (abs(v) < 1e-4 or abs(v) >= 1e17):
-        return np.format_float_scientific(v, precision=16, unique=False)
-    return np.format_float_positional(
-        v, precision=17, unique=False, fractional=False, trim="k"
-    )
+    return _format_reals([float(x)])[0]
 
 
 def _format_reals(values) -> list[str]:
-    """``[format_real(v) for v in values]``, most of it in one C-level pass.
+    """The CSV contract's text of each real: one C-level pass, one exact test.
 
-    ``%#.17g`` formats the whole list at once: 17 correctly rounded
-    significant digits, ties to even, trailing zeros kept, as numpy's
-    Dragon4 gives them.  Its scientific texts (below 1e-4 and from 1e17 up),
-    its whole numbers from 1e16 up (``10000000000000000.``), ``nan`` and
-    ``inf`` are numpy's as they stand.  A positional text differs only where
-    numpy's padding rule applies: a short exact expansion (``0.5``) or a
-    rounding carry (0.25506902573942169532...) that numpy pads to 17 digits
-    counting a leading 0, not to 17 significant digits.  Such a text ends in
-    ``0``, so only a text that ends in ``0`` and holds no ``e`` goes to
-    ``format_real``, once a value within the call (a zero keyed by its text,
-    so 0.0 and -0.0 stay apart).
+    ``%#.17g`` formats the whole list at once, and its text stands unless
+    it is positional, below 1 and ends in ``0``.  For such a text, D >= |v|
+    is tested in integers: D's digits times the denominator of |v|'s
+    ``as_integer_ratio`` against its numerator times 10 to the number of
+    decimals.  Each such text is worked out once a call; a 17-digit text
+    belongs to one double, and 0.0 and -0.0 have different texts.
     """
     texts = ("%#.17g\n" * len(values) % tuple(values)).split("\n")
     del texts[-1]
-    formatted = {}
+    padded = {}
     for i, text in enumerate(texts):
-        if text[-1] == "0" and "e" not in text:
-            v = values[i]
-            key = v or str(v)
-            text = formatted.get(key)
-            if text is None:
-                text = formatted[key] = format_real(v)
-            texts[i] = text
+        if text[-1] == "0" and text.startswith(("0.", "-0.")):
+            if text not in padded:
+                head, _, decimals = text.partition(".")
+                numerator, denominator = abs(float(values[i])).as_integer_ratio()
+                exact_or_carried = int(decimals) * denominator >= numerator * 10 ** len(decimals)
+                padded[text] = f"{head}.{decimals.rstrip('0'):0<16}" if exact_or_carried else text
+            texts[i] = padded[text]
     return texts
 
 

@@ -124,6 +124,10 @@ FLOAT_COUNT_SITES = [
 ]
 
 
+# The float count sites that also take an array of counts.
+ARRAY_COUNT_SITES = ["rotator_power.n", "switching_angle.n"]
+
+
 @pytest.mark.parametrize("site", FLOAT_COUNT_SITES)
 def test_count_beyond_the_float_range_names_the_limit(site):
     call, message = COUNT_SITES[site]
@@ -131,6 +135,12 @@ def test_count_beyond_the_float_range_names_the_limit(site):
     with pytest.raises(ValueError, match="^" + re.escape(limit) + "$"):
         call(10**400)
     call(int(sys.float_info.max))  # the limit itself is accepted
+    if site in ARRAY_COUNT_SITES:
+        # a list, or numpy's object array of Python ints, names the same limit
+        for counts in ([3, 10**400], np.array([3, 10**400]), [[10**400]]):
+            with pytest.raises(ValueError, match="^" + re.escape(limit) + "$"):
+                call(counts)
+        call([3, int(sys.float_info.max)])
 
 
 # (entry point taking the absorption probability a)

@@ -83,7 +83,7 @@ class TestRun:
         assert abs(p_h + p_v + p_b - 1.0) <= 1e-14
 
 
-# stdout SHA-256 prefixes of sweep and run commands; each engine change must keep
+# stdout SHA-256 prefixes of sweep, run and oracle commands; each engine change must keep
 # these bytes or say which rows moved and why
 PINNED_STDOUT = {
     "grid --cycles 250 --steps 21": "0c3712ad2047",
@@ -92,6 +92,10 @@ PINNED_STDOUT = {
     "sweep-cycles --cycles 300 --absorption 1 --model collapse": "f5695386547e",
     "sweep-absorption --cycles 3 --steps 11 --model collapse": "363da086c75e",
     "run --cycles 3 --absorption 1 --model collapse": "9b625a019a01",
+    # integer counts and IEEE arithmetic; p_hat holds 0.86490000000000000 (17
+    # digits, rounded down) and 0.0023000000000000 (a carry, padded)
+    "oracle --cycles 50 --absorption 0.5 --trajectories 10000 --model collapse": "830b2efc426a",
+    "oracle --cycles 50 --absorption 0.5 --trajectories 10000 --model coherent": "60e75e474967",
 }
 
 
@@ -244,24 +248,28 @@ class TestStreamedCsv:
             assert captured.err == f"ifmsim: error: {expected.value}\n"
         assert not path.exists()
 
-    def test_most_reals_skip_format_real(self, capsys, monkeypatch):
-        # grid --cycles 100 --steps 5 writes 1,605 reals: 1,500 probabilities,
-        # 100 angles and 5 absorptions.  The C-level pass keeps all but the
-        # texts whose last digit is 0: the exact 0, 0.25, 0.5, 0.75 and 1,
-        # once per _format_reals call, and about one in ten of the rest (their
-        # 17th digit).  That came to 127 calls; per-value formatting makes
-        # 1,605.  The bound is about twice the measured count.
-        calls = []
-        reference = sweep.format_real
+    def test_no_numpy_float_formatter(self, capsys, monkeypatch):
+        # Every real is written by _format_reals: one %#.17g pass and an exact
+        # test for numpy's padding rule.  With numpy's Dragon4 made to raise,
+        # CSV sweeps, run, the oracle report and to_csv keep their bytes.
+        commands = [
+            "grid --cycles 100 --steps 5 --model collapse",
+            "run --cycles 24 --absorption 1e-9",
+            "oracle --cycles 50 --absorption 0.5 --trajectories 10000 --model collapse",
+        ]
 
-        def counted(x):
-            calls.append(x)
-            return reference(x)
+        def outputs():
+            texts = [_run(capsys, command.split()) for command in commands]
+            return texts + [to_csv(sweep_grid(6, 3, "collapse"))]
 
-        monkeypatch.setattr(sweep, "format_real", counted)
-        code, out = _run(capsys, ["grid", "--cycles", "100", "--steps", "5", "--model", "collapse"])
-        assert code == 0 and out.count("\n") == 501
-        assert 0 < len(calls) <= 250
+        expected = outputs()
+
+        def refuses(*args, **kwargs):
+            raise AssertionError("numpy's float formatter was called")
+
+        monkeypatch.setattr(np, "format_float_positional", refuses)
+        monkeypatch.setattr(np, "format_float_scientific", refuses)
+        assert outputs() == expected
 
     def test_one_angle_call_a_block_and_one_angle_format_a_walk(self, capsys, monkeypatch):
         # At 8 rows a block, 10 absorptions of 3 counts are 5 blocks over one
@@ -471,6 +479,27 @@ class TestHugeSweepCounts:
             assert captured.err == f"ifmsim: error: {name} must be no larger than {sys.maxsize}\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--cycles", str(10**400)],
+            ["sweep-absorption", "--cycles", str(10**400), "--steps", "3"],
+        ],
+        ids=["run", "sweep-absorption"],
+    )
+    def test_count_beyond_the_float_range(self, capsys, tmp_path, argv):
+        # the auto angle pi/(2N) needs N as a float; a 401-digit N has none
+        path = tmp_path / "out.csv"
+        limit = "cycle count must be a positive integer no larger than 1.7976931348623157e+308"
+        for out in ([], ["--out", str(path)]):
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv + out)
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"ifmsim: error: {limit}\n"
+        assert not path.exists()
+
     def test_process_prints_no_traceback(self, tmp_path):
         path = tmp_path / "sweep.csv"
         argv = ["sweep-cycles", "--cycles", self.HUGE, "--out", str(path)]
@@ -522,6 +551,75 @@ class TestHugeSweepCounts:
         assert len(sweep._cycle_counts(sys.maxsize)) == sys.maxsize
         with pytest.raises(ValueError, match=f"^n_max must be no larger than {sys.maxsize}$"):
             sweep._cycle_counts(sys.maxsize + 1)
+
+
+def _argv_strategy(st):
+    """Argv for the five data subcommands, each input within the stated limits.
+
+    Counts and steps reach past every limit the CLI names, but only where
+    the check comes before any allocation or loop of that size: the oracle,
+    whose table grows by one entry a cycle, stays at 24 cycles at most.
+    """
+    reals = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1 - 2**-53, 1e300, -1e300])
+    small = st.integers(1, 40)
+    float_counts = small | st.sampled_from(
+        [2**53 + 1, 2**63 - 1, 2**63 + 1, 2**64, 10**30, int(sys.float_info.max), 10**309, 10**400]
+    )
+    cycles = {
+        "run": float_counts,
+        "sweep-absorption": float_counts,
+        "sweep-cycles": small | st.sampled_from([sys.maxsize + 1, 10**30]),
+        "grid": small | st.sampled_from([sys.maxsize + 1, 10**30]),
+        "oracle": st.integers(1, 24),
+    }
+    steps = st.integers(2, 12) | st.sampled_from([2**55, 2**62, sys.maxsize + 1])
+
+    @st.composite
+    def argv(draw):
+        command = draw(st.sampled_from(sorted(cycles)))
+        args = [command, f"--model={draw(st.sampled_from(['coherent', 'collapse', 'absent']))}"]
+        args.append(f"--cycles={draw(cycles[command])}")
+        options = {"theta": reals}
+        if command in ("sweep-absorption", "grid"):
+            args.append(f"--steps={draw(steps)}")
+        else:
+            options["absorption"] = reals
+        if command == "oracle":
+            args.append(f"--trajectories={draw(st.integers(1, 200))}")
+            args.append(f"--seed={draw(st.integers(0, 2**64 - 1))}")
+        for name, values in options.items():
+            value = draw(st.none() | values)  # None keeps the default
+            if value is not None:
+                args.append(f"--{name}={value!r}")
+        return args
+
+    return argv()
+
+
+def test_every_argv_exits_0_1_or_2_with_valid_rows(capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(_argv_strategy(hypothesis.strategies))
+    # the auto angle of a 401-digit count once escaped as an OverflowError
+    @hypothesis.example(["sweep-absorption", f"--cycles={10**400}", "--steps=3"])
+    def check(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.err
+        if code == 0 and argv[0] != "oracle":
+            header, *rows = captured.out.splitlines()
+            assert header == sweep.CSV_HEADER and rows
+            for row in rows:
+                p = [float(x) for x in row.split(",")[4:]]
+                assert all(0.0 <= x <= 1.0 + 1e-10 for x in p)
+                assert abs(sum(p) - 1.0) <= 1e-10
+
+    check()
 
 
 class TestSharedParser:

@@ -49,15 +49,23 @@ class TestFormatReal:
             assert float(format_real(v)) == v
 
 
+def _dragon4(v: float) -> str:
+    """numpy's Dragon4 text of `v` under the CSV contract: the reference rule."""
+    if v != 0.0 and (abs(v) < 1e-4 or abs(v) >= 1e17):
+        return np.format_float_scientific(v, precision=16, unique=False)
+    return np.format_float_positional(v, precision=17, unique=False, fractional=False, trim="k")
+
+
 class TestFormatReals:
-    """``_format_reals`` writes ``format_real``'s bytes, most of them in one C pass."""
+    """``_format_reals`` and ``format_real`` write numpy Dragon4's bytes."""
 
     @staticmethod
     def _assert_matches(values):
-        got = sweep._format_reals(values)
-        mismatches = [(v, g) for v, g in zip(values, got) if g != format_real(v)]
-        assert len(got) == len(values)
-        assert mismatches == []
+        expected = [_dragon4(v) for v in values]
+        for got in (sweep._format_reals(values), [format_real(v) for v in values]):
+            mismatches = [(v, g, e) for v, g, e in zip(values, got, expected) if g != e]
+            assert len(got) == len(values)
+            assert mismatches == []
 
     def test_any_float(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -120,7 +128,7 @@ class TestFormatReals:
         )
         assert len(plain) > 10_000 and len(carried) > 10_000
         # where the point leads, numpy drops the digit a carry absorbs
-        assert any(len(format_real(v)) < len("%#.17g" % v) for v in carried)
+        assert any(len(_dragon4(v)) < len("%#.17g" % v) for v in carried)
         self._assert_matches(plain + carried)
 
     def test_notation_boundaries(self):
