@@ -272,12 +272,16 @@ def step_collapse(rho, theta, a) -> np.ndarray:
     return out
 
 
-def _absorber(model: ParticleModel, a: float) -> tuple[float, float, float, float]:
-    """(a, 1 - a, q, q - 1), q the coherence's factor: sqrt(1 - a), or 1 - a for collapse."""
+def _absorber(model: ParticleModel, a, sqrt=math.sqrt) -> tuple:
+    """(a, 1 - a, q, q - 1), q the coherence's factor: sqrt(1 - a), or 1 - a for collapse.
+
+    ``a`` is a float, or with ``sqrt=np.sqrt`` an array; both square roots
+    are correctly rounded, so each element is bit for bit its float's.
+    """
     keep = 1.0 - a
     if model is ParticleModel.COLLAPSE:
         return a, keep, keep, -a
-    q = math.sqrt(keep)
+    q = sqrt(keep)
     return a, keep, q, -a / (1.0 + q)
 
 
@@ -341,7 +345,7 @@ def _evolve_one(model: ParticleModel, theta: float, a: float, n: int) -> tuple:
 def _evolve_stack(model: ParticleModel, thetas, a_values, ns) -> np.ndarray:
     """``_evolve_one``, bit for bit, for ns[g] cycles at thetas[g] per absorption: (4, G, K)."""
     trig = np.array([(math.cos(t), math.sin(t)) for t in thetas]).T[:, :, None]
-    absorber = np.array([_absorber(model, a) for a in a_values]).T[:, None, :]
+    absorber = _absorber(model, np.array(a_values, dtype=float)[None, :], np.sqrt)
     e = np.empty((12, len(thetas), len(a_values)))
     for out, x in zip(e, _deviation(*trig, absorber)):
         out[...] = x
@@ -358,8 +362,12 @@ def _evolve_stack(model: ParticleModel, thetas, a_values, ns) -> np.ndarray:
                 sq += w[:, 2:3] * w[2:3]
                 w += w  # 2E exactly, as 2.0 * x
                 w += sq
-            if mask.any():
-                y = np.where(mask, _apply(e, y), y)
+            if mask.any():  # _apply through E's 4 x 3 view, in its order of operations
+                t = w[:, 1] * y[1]
+                t += w[:, 2] * y[2]
+                t += w[:, 0] * (1.0 + y[0])
+                t += y
+                np.copyto(y, t, where=mask)
     y[0] += 1.0
     return y
 

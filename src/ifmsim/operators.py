@@ -131,6 +131,10 @@ def _check_counts(n, lo: int, message: str) -> np.ndarray | float:
         raise ValueError(f"{message} no larger than {_MAX_COUNT!r}") from None
     if not (np.isfinite(nv) & (nv >= lo) & (nv == np.floor(nv))).all():
         raise ValueError(message)
+    top = nv == _MAX_COUNT
+    if top.any():  # an int up to 2**1024 - 2**970 rounds down to the largest float
+        for value in np.asarray(n, dtype=object)[top].tolist():
+            _check_float_count(value, lo, message)
     return nv
 
 

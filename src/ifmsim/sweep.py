@@ -40,6 +40,16 @@ rounding having carried (0.25506902573942169532...), the text drops its
 trailing zeros and is padded back to 16 decimals: ``0.5000000000000000``,
 ``0.0001220703125000``, ``0.2550690257394217``.  Where D < |v| the text
 stands: ``0.00010000000000000000`` for 1e-4.
+
+The rule is computed two ways, which write the same bytes.
+``_dtoa_texts`` formats a list in one ``%#.17g`` pass, CPython's
+correctly rounded conversion, then tests the padding rule in integers.
+``_digit_kernel`` makes the 17 digits in numpy arrays for the values that
+fill probability columns, +0.0 and [1e-4, 1), and leaves every other
+value to ``_dtoa_texts``.  A list of at least ``_KERNEL_MIN`` (150) values,
+such as a CSV block, goes through the kernel; a shorter one, such as
+``format_real``'s, does not, as below that size the kernel's fixed cost
+outweighs what it saves.
 """
 
 from __future__ import annotations
@@ -303,7 +313,90 @@ def format_real(x: float) -> str:
     return _format_reals([float(x)])[0]
 
 
+# Lists of at least this many reals take the texts of +0.0 and of [1e-4, 1)
+# from _digit_kernel; a shorter list, the empty one included, is formatted by
+# _dtoa_texts alone, as the kernel's fixed cost of ~40 numpy calls there
+# outweighs what it saves (measured break-even: ~150 values).
+_KERNEL_MIN = 150
+
+
+def _split(x):
+    """Veltkamp's split of float64 ``x`` into a 26-bit high part and the exact rest."""
+    t = 134217729.0 * x  # 2**27 + 1
+    high = t - (t - x)
+    return high, x - high
+
+
+# A value's kind is its place among the bit patterns of _EDGES, which order
+# as the non-negative doubles do, with every negative double below them: 0
+# negative (-0.0 too), 1 +0.0, 2 below 1e-4, 3 to 6 the decades [1e-4, 1e-3)
+# to [0.1, 1), and 7 for 1 and above, inf and nan.  Each edge literal is the
+# smallest double >= its power of ten, so the classes are exact decades.
+_EDGES = np.array([0.0, 5e-324, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]).view(np.int64)
+_IN_DECADE = np.array([False, False, False, True, True, True, True, False])
+_ELSEWHERE = np.array([True, False, True, False, False, False, False, True])
+_TEMPLATES = np.array(
+    [None, "0.0000000000000000", None, "0.000%d", "0.00%d", "0.0%d", "0.%d", None], object
+)
+# 10**(23 - kind), exact as every power of ten up to 10**22 is, and its split
+_SCALES = np.array([1.0, 1.0, 1.0, 1e20, 1e19, 1e18, 1e17, 1.0])
+_SCALES_HIGH, _SCALES_LOW = _split(_SCALES)
+# 10**j for the j <= 4 trailing zeros numpy's rule may drop
+_TENS = np.array([1, 10, 100, 1000, 10000])
+
+
 def _format_reals(values) -> list[str]:
+    """The CSV contract's text of each real, worked out one of two exact ways.
+
+    A list of at least ``_KERNEL_MIN`` values takes the texts of +0.0 and
+    of values in [1e-4, 1) from ``_digit_kernel``, and every other text
+    from ``_dtoa_texts``; a shorter list takes all of them from
+    ``_dtoa_texts``.  Both write the same bytes.
+    """
+    if len(values) < _KERNEL_MIN:
+        return _dtoa_texts(values)
+    return _digit_kernel(values)
+
+
+def _digit_kernel(values) -> list[str]:
+    """The texts of ``values``, with the 17 digits of +0.0 and [1e-4, 1) made in numpy.
+
+    For v in [1e-4, 1), with z zeros after the point, v * 10**(17 + z) is
+    hi + lo exactly (Dekker's product).  hi is at least 10**16 > 2**53, so
+    it is an even integer, and D = hi + rint(lo) is the 17-digit decimal,
+    rounded half to even.  D never reaches 10**17: the double below each
+    power of ten is more than half a 17th digit below it.  numpy's rule
+    applies where D ends in 0 and D - hi >= lo: it drops up to z + 1
+    trailing zeros, which is stripping them all and padding back to 16
+    decimals.  Then one ``%`` pass writes each D into its decade's
+    template; +0.0's text and the other values' texts, from
+    ``_dtoa_texts``, stand in the template as they are, none holding a ``%``.
+    """
+    v = np.array(values, dtype=float)
+    kind = np.searchsorted(_EDGES, v.view(np.int64), "right")
+    digits = _IN_DECADE[kind]
+    k = kind[digits]  # with z = 6 - k zeros after the point
+    d = v[digits]
+    hi = d * _SCALES[k]
+    d_high, d_low = _split(d)
+    s_high, s_low = _SCALES_HIGH[k], _SCALES_LOW[k]
+    lo = ((d_high * s_high - hi) + d_high * s_low + d_low * s_high) + d_low * s_low
+    up = np.rint(lo)
+    n = hi.astype(np.int64)
+    n += up.astype(np.int64)
+    rule = np.flatnonzero((n % 10 == 0) & (up >= lo))
+    if len(rule):
+        m = n[rule]  # D's trailing zeros, at most z + 1 of them
+        zeros = (m[:, None] % _TENS[1:] == 0) & (np.arange(1, 5) <= 7 - k[rule, None])
+        n[rule] = m // _TENS[zeros.sum(1)]
+    texts = _TEMPLATES[kind]
+    rest = np.flatnonzero(_ELSEWHERE[kind])
+    if len(rest):
+        texts[rest] = _dtoa_texts([values[i] for i in rest.tolist()])
+    return ("\n".join(texts.tolist()) % tuple(n.tolist())).split("\n")
+
+
+def _dtoa_texts(values) -> list[str]:
     """The CSV contract's text of each real: one C-level pass, one exact test.
 
     ``%#.17g`` formats the whole list at once, and its text stands unless

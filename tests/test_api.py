@@ -143,6 +143,21 @@ def test_count_beyond_the_float_range_names_the_limit(site):
         call([3, int(sys.float_info.max)])
 
 
+@pytest.mark.parametrize("site", ARRAY_COUNT_SITES)
+def test_array_count_that_rounds_to_the_largest_float_names_the_limit(site):
+    # ints above the largest float and below 2**1024 - 2**970 round down to
+    # it when converted, so the array's element is compared as an int
+    call, message = COUNT_SITES[site]
+    limit = f"{message} no larger than 1.7976931348623157e+308"
+    above = int(sys.float_info.max) + 1
+    for count in (above, 2**1024 - 2**970 - 1):
+        assert float(count) == sys.float_info.max
+        for counts in ([3, count], np.array([3, count]), [[count]]):
+            with pytest.raises(ValueError, match="^" + re.escape(limit) + "$"):
+                call(counts)
+    call(np.array([3, sys.float_info.max]))  # the limit itself, as a float
+
+
 # (entry point taking the absorption probability a)
 PROBABILITY_SITES = {
     "absorption": absorption,

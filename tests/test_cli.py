@@ -484,8 +484,11 @@ class TestHugeSweepCounts:
         [
             ["run", "--cycles", str(10**400)],
             ["sweep-absorption", "--cycles", str(10**400), "--steps", "3"],
+            # the largest int that still rounds down to the largest float
+            ["run", "--cycles", str(2**1024 - 2**970 - 1)],
+            ["sweep-absorption", "--cycles", str(2**1024 - 2**970 - 1), "--steps", "3"],
         ],
-        ids=["run", "sweep-absorption"],
+        ids=["run", "sweep-absorption", "run-rounds-to-max", "sweep-absorption-rounds-to-max"],
     )
     def test_count_beyond_the_float_range(self, capsys, tmp_path, argv):
         # the auto angle pi/(2N) needs N as a float; a 401-digit N has none

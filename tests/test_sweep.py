@@ -1,6 +1,8 @@
 import math
 import re
 import warnings
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,10 +64,16 @@ class TestFormatReals:
     @staticmethod
     def _assert_matches(values):
         expected = [_dragon4(v) for v in values]
-        for got in (sweep._format_reals(values), [format_real(v) for v in values]):
-            mismatches = [(v, g, e) for v, g, e in zip(values, got, expected) if g != e]
-            assert len(got) == len(values)
-            assert mismatches == []
+        # As the code runs, then with every list through the digit kernel.
+        # There format_real's one-value lists are checked on a sample: each
+        # pays the kernel's fixed cost.
+        for kernel_min, step in ((sweep._KERNEL_MIN, 1), (1, max(1, len(values) // 2000))):
+            with mock.patch.object(sweep, "_KERNEL_MIN", kernel_min):
+                lists = sweep._format_reals(values), [format_real(v) for v in values[::step]]
+            for got, want, vs in zip(lists, (expected, expected[::step]), (values, values[::step])):
+                mismatches = [(v, g, e) for v, g, e in zip(vs, got, want) if g != e]
+                assert len(got) == len(vs)
+                assert mismatches == []
 
     def test_any_float(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -145,6 +153,57 @@ class TestFormatReals:
                     values.append(v)
             values.append(edge)
         self._assert_matches(values + [-v for v in values])
+
+    def test_decade_edges(self):
+        # The kernel's decades begin at 1e-1, 1e-2 and 1e-3 (test_notation_boundaries
+        # covers 1e-4): 300 neighbours each side of each, and the decimals
+        # just below each power that a 17-digit rounding would carry into it,
+        # which parse to the edge itself or the double below it.
+        values = []
+        for j in (1, 2, 3):
+            edge = float(f"1e-{j}")
+            for toward in (0.0, math.inf):
+                v = edge
+                for _ in range(300):
+                    v = float(np.nextafter(v, toward))
+                    values.append(v)
+            values.append(edge)
+            nines = "0." + "0" * j + "9" * 16
+            values += [float(f"{nines}{t}{u}") for t in (8, 9) for u in range(10)]
+        self._assert_matches(values + [-v for v in values])
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 3, 4])
+    def test_edge_literals_are_exact_decades(self, j):
+        # Each edge literal is the smallest double >= 10**-j, so comparing
+        # with it compares with 10**-j exactly.  The double below it is more
+        # than half a 17th digit below 10**-j, so no value of a decade rounds
+        # up into the next one.
+        edge = float(f"1e-{j}")
+        below = math.nextafter(edge, 0.0)
+        power = Fraction(1, 10**j)
+        assert Fraction(edge) >= power > Fraction(below)
+        assert power - Fraction(below) > Fraction(1, 10 ** (17 + j)) / 2
+
+    def test_only_values_outside_the_kernel_reach_dtoa(self, monkeypatch):
+        # A grid block's 1,500 probabilities: the kernel writes +0.0 and
+        # [1e-4, 1), and only the rest (1.0, small p, -0.0) go to %#.17g.
+        s = sweep._Sweep(sweep._absorption_grid(5), sweep._cycle_counts(100), "coherent", None)
+        values = s.p.transpose(1, 2, 0).ravel().tolist()
+        values[:3] = [-0.0, 5e-5, math.nan]
+        assert len(values) == 1500
+        dtoa, passed = sweep._dtoa_texts, []
+
+        def recorded(vs):
+            passed.append(list(vs))
+            return dtoa(vs)
+
+        monkeypatch.setattr(sweep, "_dtoa_texts", recorded)
+        texts = sweep._format_reals(values)
+        kernel = [1e-4 <= v < 1.0 or (v == 0.0 and math.copysign(1, v) > 0) for v in values]
+        rest = [v for v, k in zip(values, kernel) if not k]
+        assert 3 < len(rest) < 150
+        assert passed == [rest]  # the same nan object, so equal in a list
+        assert texts == [_dragon4(v) for v in values]
 
 
 class TestSweepRecord:
