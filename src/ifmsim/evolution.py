@@ -64,16 +64,16 @@ large explicit theta * N stays inaccurate, and nothing rejects it.
 The arithmetic is plain ``*`` and ``+`` over the 12 entries, each one
 IEEE-rounded operation whether it runs on Python floats or elementwise on
 numpy arrays, and two drivers share it.  ``_evolve_one`` walks one
-config's bits on Python floats (``evolve``, ``run_single``).
-``_evolve_stack`` holds the deviations of G (theta, N) groups times K
-absorptions as one (12, G, K) stack: every level squares the whole stack,
-in the float square's order of operations, and applies it where the
-group's count has that bit.  Both drivers take cos and sin from ``math``,
-one angle at a time, since numpy's may round differently.  So a sweep
-makes one stacked call, and every row of it is bit for bit the float
-driver's result for its own config.  Groups past their top bit are
-squared on, and may overflow, unread; levels where no count has a bit
-apply nothing.
+config's bits in one loop on 16 local Python floats, E's 12 entries and
+the state's 4 (``evolve``, ``run_single``).  ``_evolve_stack`` holds the
+deviations of G (theta, N) groups times K absorptions as one (12, G, K)
+stack: every level squares the whole stack, in the float driver's order
+of operations, and applies it where the group's count has that bit.  Both
+drivers take cos and sin from ``math``, one angle at a time, since numpy's
+may round differently.  So a sweep makes one stacked call, and every row
+of it is bit for bit the float driver's result for its own config.
+Groups past their top bit are squared on, and may overflow, unread;
+levels where no count has a bit apply nothing.
 
 The 3x3 step kernels ``step_coherent`` / ``step_collapse`` stay as the
 validated reference that the engine is tested against.  They take a
@@ -190,9 +190,7 @@ class CycleConfig:
 
     def resolved_theta(self) -> float:
         """The rotation angle actually used: explicit theta, or pi/(2n)."""
-        if self.theta is not None:
-            return self.theta
-        return operators.switching_angle(self.n)
+        return operators.switching_angle(self.n) if self.theta is None else self.theta
 
 
 def initial_state() -> np.ndarray:
@@ -298,48 +296,37 @@ def _deviation(cos, sin, absorber):
     )  # fmt: skip
 
 
-def _square(e):
-    """The deviation 2E + E·E of (I + E)**2, on one config's Python floats."""
-    hh, hc, hv, ch, cc, cv, vh, vc, vv, bh, bc, bv = e
-    return (
-        2.0 * hh + (hh * hh + hc * ch + hv * vh),
-        2.0 * hc + (hh * hc + hc * cc + hv * vc),
-        2.0 * hv + (hh * hv + hc * cv + hv * vv),
-        2.0 * ch + (ch * hh + cc * ch + cv * vh),
-        2.0 * cc + (ch * hc + cc * cc + cv * vc),
-        2.0 * cv + (ch * hv + cc * cv + cv * vv),
-        2.0 * vh + (vh * hh + vc * ch + vv * vh),
-        2.0 * vc + (vh * hc + vc * cc + vv * vc),
-        2.0 * vv + (vh * hv + vc * cv + vv * vv),
-        2.0 * bh + (bh * hh + bc * ch + bv * vh),
-        2.0 * bc + (bh * hc + bc * cc + bv * vc),
-        2.0 * bv + (bh * hv + bc * cv + bv * vv),
-    )
-
-
-def _apply(e, y):
-    """y + E(e_1 + y): the factor I + E applied to the state e_1 + y, as its deviation."""
-    hh, hc, hv, ch, cc, cv, vh, vc, vv, bh, bc, bv = e
-    h, c, v, b = y
-    h1 = 1.0 + h
-    return (
-        h + (hc * c + hv * v + hh * h1),
-        c + (cc * c + cv * v + ch * h1),
-        v + (vc * c + vv * v + vh * h1),
-        b + (bc * c + bv * v + bh * h1),
-    )
-
-
 def _evolve_one(model: ParticleModel, theta: float, a: float, n: int) -> tuple:
     """(h, c, v, b) after n cycles: n's bits lowest first, E = T**(2**level) - I squared a level."""
     e = _deviation(math.cos(theta), math.sin(theta), _absorber(model, a))
-    y = (0.0, 0.0, 0.0, 0.0)
-    for level, bit in enumerate(reversed(bin(n)[2:])):
-        if level:
-            e = _square(e)
-        if bit == "1":
-            y = _apply(e, y)
-    return (1.0 + y[0], *y[1:])
+    hh, hc, hv, ch, cc, cv, vh, vc, vv, bh, bc, bv = e
+    h = c = v = b = 0.0
+    while True:
+        if n & 1:  # y <- y + E(e_1 + y)
+            h1 = 1.0 + h
+            h, c, v, b = (
+                h + (hc * c + hv * v + hh * h1),
+                c + (cc * c + cv * v + ch * h1),
+                v + (vc * c + vv * v + vh * h1),
+                b + (bc * c + bv * v + bh * h1),
+            )
+        if n < 2:
+            return 1.0 + h, c, v, b
+        n >>= 1
+        hh, hc, hv, ch, cc, cv, vh, vc, vv, bh, bc, bv = (  # E <- 2E + E.E
+            2.0 * hh + (hh * hh + hc * ch + hv * vh),
+            2.0 * hc + (hh * hc + hc * cc + hv * vc),
+            2.0 * hv + (hh * hv + hc * cv + hv * vv),
+            2.0 * ch + (ch * hh + cc * ch + cv * vh),
+            2.0 * cc + (ch * hc + cc * cc + cv * vc),
+            2.0 * cv + (ch * hv + cc * cv + cv * vv),
+            2.0 * vh + (vh * hh + vc * ch + vv * vh),
+            2.0 * vc + (vh * hc + vc * cc + vv * vc),
+            2.0 * vv + (vh * hv + vc * cv + vv * vv),
+            2.0 * bh + (bh * hh + bc * ch + bv * vh),
+            2.0 * bc + (bh * hc + bc * cc + bv * vc),
+            2.0 * bv + (bh * hv + bc * cv + bv * vv),
+        )
 
 
 def _evolve_stack(model: ParticleModel, thetas, a_values, ns) -> np.ndarray:
@@ -362,7 +349,7 @@ def _evolve_stack(model: ParticleModel, thetas, a_values, ns) -> np.ndarray:
                 sq += w[:, 2:3] * w[2:3]
                 w += w  # 2E exactly, as 2.0 * x
                 w += sq
-            if mask.any():  # _apply through E's 4 x 3 view, in its order of operations
+            if mask.any():  # _evolve_one's set bit through E's 4 x 3 view, in its order
                 t = w[:, 1] * y[1]
                 t += w[:, 2] * y[2]
                 t += w[:, 0] * (1.0 + y[0])
@@ -370,16 +357,6 @@ def _evolve_stack(model: ParticleModel, thetas, a_values, ns) -> np.ndarray:
                 np.copyto(y, t, where=mask)
     y[0] += 1.0
     return y
-
-
-def _clamped(diagonal) -> Probabilities:
-    """(p_h, p_v, p_b) from a diagonal, with dust within _CLAMP_TOL below 0 set to 0."""
-    p_h, p_v, p_b = diagonal
-    return Probabilities(
-        0.0 if -_CLAMP_TOL <= p_h < 0.0 else float(p_h),
-        0.0 if -_CLAMP_TOL <= p_v < 0.0 else float(p_v),
-        0.0 if -_CLAMP_TOL <= p_b < 0.0 else float(p_b),
-    )
 
 
 def evolve(config: CycleConfig) -> tuple[Probabilities, np.ndarray]:
@@ -397,7 +374,7 @@ def evolve(config: CycleConfig) -> tuple[Probabilities, np.ndarray]:
     rho = np.zeros((3, 3), dtype=complex)
     rho[0, 0], rho[1, 1], rho[2, 2] = h, v, b
     rho[0, 1] = rho[1, 0] = c
-    return _clamped((h, v, b)), rho
+    return probabilities(rho), rho
 
 
 def probabilities(rho) -> Probabilities:
@@ -409,7 +386,8 @@ def probabilities(rho) -> Probabilities:
     m = np.asarray(rho, dtype=complex)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 density matrix, got shape {m.shape}")
-    return _clamped(m.diagonal().real)
+    diagonal = m.diagonal().real.tolist()
+    return Probabilities(*(0.0 if -_CLAMP_TOL <= p < 0.0 else p for p in diagonal))
 
 
 def _finite_angle(theta) -> float:

@@ -67,7 +67,6 @@ from .evolution import (
     _CLAMP_TOL,
     CycleConfig,
     ParticleModel,
-    _clamped,
     _evolve_one,
     _evolve_stack,
 )
@@ -89,8 +88,10 @@ CSV_HEADER = "model,a,n,theta,p_h,p_v,p_b"
 
 _SUM_TOL = 1e-10
 
-_MODEL_VALUES = tuple(m.value for m in ParticleModel)
-_INF = math.inf
+# each model's string, read without the Enum's slow ``value`` property
+_MODEL_VALUE = {m: m.value for m in ParticleModel}
+_MODEL_VALUES = tuple(_MODEL_VALUE.values())
+_MAX = sys.float_info.max
 
 _setattr = object.__setattr__
 
@@ -118,7 +119,7 @@ class SweepRecord:
             raise ValueError(f"a must be in [0, 1], got {a!r}")
         if type(n) is not int or n < 1:
             raise ValueError(f"n must be an integer >= 1, got {n!r}")
-        if not -_INF < theta < _INF:
+        if not -_MAX <= theta <= _MAX:  # an int beyond the float range too
             raise ValueError(f"theta must be finite, got {theta!r}")
         if not p_h >= 0.0:
             raise ValueError(f"p_h must be >= 0, got {p_h!r}")
@@ -126,8 +127,12 @@ class SweepRecord:
             raise ValueError(f"p_v must be >= 0, got {p_v!r}")
         if not p_b >= 0.0:
             raise ValueError(f"p_b must be >= 0, got {p_b!r}")
-        total = p_h + p_v + p_b
-        if not abs(total - 1.0) <= _SUM_TOL:
+        try:
+            total = p_h + p_v + p_b
+            off = abs(total - 1.0)
+        except OverflowError:  # ints beyond the float range, taken as the inf they round to
+            total = off = math.inf
+        if not off <= _SUM_TOL:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
         # Seven stores, as a generated __init__ makes: they keep the fields in
         # the instance's inline values, where a __dict__ update would build a
@@ -146,9 +151,17 @@ class SweepRecord:
 
 def run_single(config: CycleConfig) -> SweepRecord:
     """Evaluate one configuration into a record."""
-    theta = config.resolved_theta()
-    h, _, v, b = _evolve_one(config.model, theta, config.a, config.n)
-    return SweepRecord(config.model.value, config.a, config.n, theta, *_clamped((h, v, b)))
+    n, a = config.n, config.a
+    theta = operators.switching_angle(n) if config.theta is None else config.theta
+    h, _, v, b = _evolve_one(config.model, theta, a, n)
+    # the dust clamp of ``probabilities``, inline: through a helper and its tuple
+    # it took ~1 us a record
+    return SweepRecord(
+        _MODEL_VALUE[config.model], a, n, theta,
+        0.0 if -_CLAMP_TOL <= h < 0.0 else h,
+        0.0 if -_CLAMP_TOL <= v < 0.0 else v,
+        0.0 if -_CLAMP_TOL <= b < 0.0 else b,
+    )  # fmt: skip
 
 
 # Rows per stacked engine call, and per chunk of CSV text.
@@ -191,7 +204,7 @@ class _Sweep:
             ) from None
         for _, a_part, ns, thetas, rows in self._blocks():
             p = _evolve_stack(self.model, thetas, a_part, ns)[(0, 2, 3),]
-            p[(-_CLAMP_TOL <= p) & (p < 0.0)] = 0.0  # _clamped's dust clamp
+            p[(-_CLAMP_TOL <= p) & (p < 0.0)] = 0.0  # the dust clamp of ``probabilities``
             rows[...] = p.swapaxes(1, 2)
             self._check(a_part, ns, thetas, rows)
 
@@ -209,7 +222,7 @@ class _Sweep:
         for j in range(0, k, a_step):
             for i in range(0, g, n_step):
                 ns = list(self.n_values[i : i + n_step])
-                if self.theta is None:  # switching_angle looked up per call, as resolved_theta does
+                if self.theta is None:  # switching_angle looked up per call, as run_single does
                     thetas = operators.switching_angle(np.array(ns)).tolist()
                 else:
                     thetas = [self.theta] * len(ns)
@@ -389,6 +402,8 @@ def _digit_kernel(values) -> list[str]:
         m = n[rule]  # D's trailing zeros, at most z + 1 of them
         zeros = (m[:, None] % _TENS[1:] == 0) & (np.arange(1, 5) <= 7 - k[rule, None])
         n[rule] = m // _TENS[zeros.sum(1)]
+    # the text pass, whose strings make the peak, holds none of these arrays
+    del v, k, d, hi, d_high, d_low, s_high, s_low, lo, up
     texts = _TEMPLATES[kind]
     rest = np.flatnonzero(_ELSEWHERE[kind])
     if len(rest):

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -250,6 +251,30 @@ class TestSweepRecord:
         fields[field] = value
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             SweepRecord(**fields)
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"theta": 10**400}, "theta must be finite, got 1000"),
+            ({"theta": -(10**400)}, "theta must be finite, got -1000"),
+            ({"theta": 2**1024 - 2**970}, "theta must be finite, got 1797"),
+            ({"p_h": 10**400}, "probabilities must sum to 1, got inf"),
+            ({"p_b": 10**400}, "probabilities must sum to 1, got inf"),
+            (dict.fromkeys(["p_h", "p_v", "p_b"], 2**1023), "probabilities must sum to 1, got inf"),
+        ],
+    )
+    def test_rejects_an_int_beyond_the_float_range(self, fields, message):
+        # such an int compares as itself, so it passes a finiteness test and
+        # then overflows in float arithmetic: the sum, or to_csv's formatting
+        record = dict(model="coherent", a=0.5, n=3, theta=0.1, p_h=0.25, p_v=0.5, p_b=0.25)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            SweepRecord(**{**record, **fields})
+
+    def test_accepts_the_largest_float_angle(self):
+        # the int that rounds down to it too, which to_csv formats as that float
+        for theta in (sys.float_info.max, 2**1024 - 2**971, -sys.float_info.max):
+            record = SweepRecord("coherent", 0.5, 3, theta, 0.25, 0.5, 0.25)
+            assert to_csv([record]).splitlines()[1].split(",")[3] == format_real(theta)
 
     def test_rejects_the_first_invalid_field(self):
         with pytest.raises(ValueError, match="^model must be one of"):
