@@ -38,12 +38,10 @@ import sys
 
 from . import verify as verify_mod
 from .evolution import CycleConfig, ParticleModel, evolve
-from .oracle import TrajectoryConfig, compare, estimate
+from .oracle import _Z_LIMIT, TrajectoryConfig, compare, estimate
 from .sweep import _absorption_grid, _cycle_counts, _Sweep, format_real, run_single, to_csv
 
 __all__ = ["main"]
-
-_Z_LIMIT = 4.0
 
 
 def _absorption_arg(text: str) -> float:

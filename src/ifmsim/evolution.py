@@ -390,14 +390,6 @@ def probabilities(rho) -> Probabilities:
     return Probabilities(*(0.0 if -_CLAMP_TOL <= p < 0.0 else p for p in diagonal))
 
 
-def _finite_angle(theta) -> float:
-    """`theta` as a float; ValueError with rotator_power's message unless it is finite."""
-    t = float(theta)
-    if not math.isfinite(t):
-        raise ValueError("angle must be finite")
-    return t
-
-
 def closed_form_no_particle(theta: float, n: int) -> Probabilities:
     """Exact outcome probabilities with nothing in the arm: n plain rotations.
 
@@ -406,7 +398,7 @@ def closed_form_no_particle(theta: float, n: int) -> Probabilities:
     finite or n*theta is beyond the float range.
     """
     n = operators._check_float_count(n, 0, "n must be a non-negative integer")
-    angle = _finite_angle(theta) * n
+    angle = float(operators._check_angle(theta)) * n
     if not math.isfinite(angle):
         raise ValueError(
             "accumulated angle n*theta must be no larger in magnitude than "
@@ -427,7 +419,7 @@ def closed_form_perfect_absorber(theta: float, n: int) -> Probabilities:
     n = operators._check_float_count(n, 0, "n must be a non-negative integer")
     # 2.0 * n rounds as 2 * n does; near the count limit it is inf rather
     # than an OverflowError, and cos**inf is the power's limit
-    p_h = math.cos(_finite_angle(theta)) ** (2.0 * n)
+    p_h = math.cos(operators._check_angle(theta)) ** (2.0 * n)
     return Probabilities(p_h, 0.0, 1.0 - p_h)
 
 

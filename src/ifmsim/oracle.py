@@ -362,12 +362,17 @@ def estimate(config: TrajectoryConfig) -> OutcomeEstimate:
     p_hat = counts / m
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / m)
     return OutcomeEstimate(
-        counts=(int(counts[0]), int(counts[1]), int(counts[2])),
+        counts=tuple(counts.tolist()),
         trajectories=m,
-        p_hat=Probabilities(*p_hat),
-        stderr=(float(stderr[0]), float(stderr[1]), float(stderr[2])),
+        p_hat=Probabilities(*p_hat.tolist()),
+        stderr=tuple(stderr.tolist()),
         max_norm_error=max_norm_err,
     )
+
+
+# The largest |z| of `compare` that still counts as agreement, for the
+# `oracle` command's verdict and verify's concordance check alike.
+_Z_LIMIT = 4.0
 
 
 def compare(est: OutcomeEstimate, exact: Probabilities) -> np.ndarray:

@@ -418,20 +418,16 @@ def _dtoa_texts(values) -> list[str]:
     it is positional, below 1 and ends in ``0``.  For such a text, D >= |v|
     is tested in integers: D's digits times the denominator of |v|'s
     ``as_integer_ratio`` against its numerator times 10 to the number of
-    decimals.  Each such text is worked out once a call; a 17-digit text
-    belongs to one double, and 0.0 and -0.0 have different texts.
+    decimals.
     """
     texts = ("%#.17g\n" * len(values) % tuple(values)).split("\n")
     del texts[-1]
-    padded = {}
     for i, text in enumerate(texts):
         if text[-1] == "0" and text.startswith(("0.", "-0.")):
-            if text not in padded:
-                head, _, decimals = text.partition(".")
-                numerator, denominator = abs(float(values[i])).as_integer_ratio()
-                exact_or_carried = int(decimals) * denominator >= numerator * 10 ** len(decimals)
-                padded[text] = f"{head}.{decimals.rstrip('0'):0<16}" if exact_or_carried else text
-            texts[i] = padded[text]
+            head, _, decimals = text.partition(".")
+            numerator, denominator = abs(float(values[i])).as_integer_ratio()
+            if int(decimals) * denominator >= numerator * 10 ** len(decimals):
+                texts[i] = f"{head}.{decimals.rstrip('0'):0<16}"
     return texts
 
 

@@ -5,10 +5,10 @@ unitarity, channel trace preservation, positivity, closed-form agreement,
 model equivalence at the extremes, Monte Carlo concordance).  All sampling
 is seeded, so two runs produce byte-identical reports.
 
-Seeded samples are drawn one at a time, in a fixed order, and then
-built, stepped, multiplied and reduced as stacks: the step kernels, the
-Kraus sets and the operator constructors take (..., d, d) stacks, so no
-check loops over its samples to call them.
+Seeded samples are drawn in a fixed order, and then built, stepped,
+multiplied and reduced as stacks: the step kernels, the Kraus sets and the
+operator constructors take (..., d, d) stacks, so no check loops over its
+samples to call them.
 
 The suite is one table, ``_CHECKS``: each row is a check's name, the
 function that returns its (passed, detail), and the shared input it takes,
@@ -44,15 +44,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _random_params(rng) -> tuple[float, float]:
-    return float(rng.uniform(0.0, np.pi)), float(rng.uniform(0.0, 1.0))
-
-
-def _stacked(samples) -> list[np.ndarray]:
-    """Per-sample tuples, drawn in order, as one stacked array per field."""
-    return [np.array(field) for field in zip(*samples)]
 
 
 def _dagger(m) -> np.ndarray:
@@ -135,7 +126,7 @@ def _check_kraus_completeness() -> tuple[bool, str]:
     rng = np.random.default_rng(_RNG_SEED + 1)
     dev = 0.0
     for model in (evolution.ParticleModel.COHERENT, evolution.ParticleModel.COLLAPSE):
-        theta, a = _stacked(_random_params(rng) for _ in range(25))
+        theta, a = rng.uniform((0.0, 0.0), (np.pi, 1.0), size=(25, 2)).T
         total = sum(_dagger(k) @ k for k in evolution.kraus_operators(model, theta, a))
         dev = max(dev, np.abs(total - np.eye(3)).max())
     return dev <= 1e-13, f"max |sum K^+K - I| = {dev:.3e} (tol 1e-13)"
@@ -179,7 +170,7 @@ def _check_absorbed_fixed_point() -> tuple[bool, str]:
     rho_b = np.zeros((3, 3), dtype=complex)
     rho_b[2, 2] = 1.0
     rng = np.random.default_rng(_RNG_SEED + 3)
-    theta, a = _stacked(_random_params(rng) for _ in range(20))
+    theta, a = rng.uniform((0.0, 0.0), (np.pi, 1.0), size=(20, 2)).T
     ok = (evolution.step_coherent(rho_b, theta, a) == rho_b).all()
     ok &= (evolution.step_collapse(rho_b, theta, a) == rho_b).all()
     return ok, "|B><B| invariant exactly, both models"
@@ -245,8 +236,8 @@ def _check_oracle_concordance() -> tuple[bool, str]:
         est = oracle.estimate(oracle.TrajectoryConfig(cycle=cfg, trajectories=20000, seed=0))
         worst = max(worst, float(np.abs(oracle.compare(est, exact)).max()))
     return (
-        worst <= 4.0,
-        f"max |z| = {worst:.3f} over 3 cells at 20000 trajectories (tol 4)",
+        worst <= oracle._Z_LIMIT,
+        f"max |z| = {worst:.3f} over 3 cells at 20000 trajectories (tol {oracle._Z_LIMIT:g})",
     )
 
 

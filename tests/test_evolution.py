@@ -588,6 +588,14 @@ class TestStackedEngine:
         rows = _evolve_stack(model, (1e-22,), self.ABSORPTIONS, (n,))
         self._assert_rows_are_single(model, (1e-22,), (n,), rows)
 
+    @pytest.mark.parametrize("model", list(ParticleModel), ids=lambda m: m.value)
+    def test_count_past_int64_among_small_counts(self, model):
+        # np.array(ns) is float64 here, which cannot hold 2**63 + 5: a count
+        # array for the bit planes must not come from numpy's inference
+        thetas, ns = (0.3, 1e-20, 2.5), (1, 2**63 + 5, 3)
+        rows = _evolve_stack(model, thetas, self.ABSORPTIONS, ns)
+        self._assert_rows_are_single(model, thetas, ns, rows)
+
     def test_groups_past_their_top_bit_raise_no_warning(self):
         # Rows near theta = pi/2 with small counts are squared on for the
         # 2**70 + 3 row's 71 levels; their deviations overflow there.

@@ -127,6 +127,13 @@ class TestEstimate:
             assert est.stderr[i] == np.sqrt(p * (1.0 - p) / m)
 
     @pytest.mark.parametrize("model", ["coherent", "collapse"])
+    def test_fields_hold_python_numbers(self, model):
+        est = estimate(TrajectoryConfig(cycle=_cfg(model, 0.4, 9), trajectories=300, seed=2))
+        assert all(type(c) is int for c in est.counts)
+        assert all(type(p) is float for p in (*est.p_hat, *est.stderr))
+        assert "np." not in repr(est)
+
+    @pytest.mark.parametrize("model", ["coherent", "collapse"])
     def test_aggregates_sample_trajectory(self, model):
         cyc = _cfg(model, 0.6, 7)
         est = estimate(TrajectoryConfig(cycle=cyc, trajectories=300, seed=42))
