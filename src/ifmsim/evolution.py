@@ -340,9 +340,12 @@ def _evolve_stack(model: ParticleModel, thetas, a_values, ns) -> np.ndarray:
     top = max(ns).bit_length()
     counts = np.frombuffer(b"".join(n.to_bytes(top // 8 + 1, "little") for n in ns), np.uint8)
     bits = np.unpackbits(counts.reshape(len(ns), -1).T, axis=0, count=top, bitorder="little")
+    # each level's set-bit mask over the whole (G, K) stack, contiguous: a (G, 1)
+    # mask broadcast over K makes copyto's inner loops K long
+    masks = np.repeat(bits.view(bool)[:, :, None], len(a_values), axis=2)
     y = np.zeros((4, *e.shape[1:]))
     with np.errstate(over="ignore", invalid="ignore"):  # groups past their top bit
-        for level, mask in enumerate(bits.view(bool)[:, :, None]):
+        for level, mask in enumerate(masks):
             if level:
                 sq = w[:, :1] * w[:1]
                 sq += w[:, 1:2] * w[1:2]

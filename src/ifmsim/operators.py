@@ -68,9 +68,15 @@ _MAX_COUNT = sys.float_info.max
 
 
 def _check_angle(theta) -> np.ndarray:
-    """`theta` as a float array, 0-d for a scalar; ValueError unless every element is finite."""
+    """`theta` as a float array, 0-d for a scalar; ValueError unless every element is finite.
+
+    numpy converts None to NaN, so an element that is not a number raises
+    ``float``'s TypeError for it instead, naming its type.
+    """
     t = np.asarray(theta, dtype=float)
     if not np.isfinite(t).all():
+        for x in np.asarray(theta, dtype=object).flat:
+            float(x)
         raise ValueError("angle must be finite")
     return t
 

@@ -16,12 +16,13 @@ the CLI's sweep commands skip the records and format the columns straight
 into CSV text, one chunk a block, once every row has passed.  Evaluation,
 row checks, records and CSV text all walk the same blocks, each with its
 counts and angles computed in one place.  Both writers share one line
-layout and one number rule, written a block at a time by ``_format_reals``
-(``format_real`` is its one-value call), so the CLI's bytes are those of
-``to_csv`` over the records.  They fill it through two line templates,
-kept apart on purpose: ``to_csv`` makes one per record, ``_Sweep.csv`` one
-per block with each absorption's and count's fields formatted once, and
-one template per row for both was measured slower.  A sweep has at most
+layout and one number rule, so the CLI's bytes are those of ``to_csv``
+over the records.  Each takes a block's reals through one ``_slots`` call,
+which hands back a *slot* per value: its decade's text template holding a
+``%d`` field, or the value's final text.  Each writer builds a line
+template with the slots in place, ``to_csv`` one line per record and
+``_Sweep.csv`` with each absorption's and count's fields formatted once,
+and fills the block's int fields in one ``%`` pass.  A sweep has at most
 ``sys.maxsize`` counts and absorptions, the most a Python sequence can
 hold.  The counts are a range, or a list of one, and each block's angles
 are one ``switching_angle`` call on its counts; the absorption grid is one
@@ -44,12 +45,13 @@ stands: ``0.00010000000000000000`` for 1e-4.
 The rule is computed two ways, which write the same bytes.
 ``_dtoa_texts`` formats a list in one ``%#.17g`` pass, CPython's
 correctly rounded conversion, then tests the padding rule in integers.
-``_digit_kernel`` makes the 17 digits in numpy arrays for the values that
-fill probability columns, +0.0 and [1e-4, 1), and leaves every other
-value to ``_dtoa_texts``.  A list of at least ``_KERNEL_MIN`` (150) values,
-such as a CSV block, goes through the kernel; a shorter one, such as
-``format_real``'s, does not, as below that size the kernel's fixed cost
-outweighs what it saves.
+``_digit_kernel`` makes the 17 digits in numpy arrays for +0.0 and every
+value in [1e-6, 1e17), the decades whose power of ten scales a double
+exactly, and leaves every other value (below 1e-6, 1e17 and above,
+negatives, -0.0, nan and inf) to ``_dtoa_texts``.  A list of at least
+``_KERNEL_MIN`` (100) values, such as a CSV block, goes through the
+kernel; a shorter one, such as ``format_real``'s, does not, as below that
+size the kernel's fixed cost outweighs what it saves.
 """
 
 from __future__ import annotations
@@ -252,28 +254,42 @@ class _Sweep:
     def csv(self) -> Iterator[str]:
         """The text of ``to_csv(self.records())``: the header, then one chunk a block.
 
-        A block's chunk is one ``%`` over a line template: each absorption's
-        ``model,a,`` prefix is formatted once a block, and each count's
-        ``n,theta,`` piece once for as long as consecutive blocks share its
-        count slice; the template's ``%s`` fields take the block's
-        probabilities, formatted in one ``_format_reals`` call.
+        A block's reals go through one ``_slots`` call.  Its head, returned
+        as texts, is the count slice's angles where the block starts a slice
+        (an explicit theta's one angle), then the block's absorptions; its
+        probabilities come back as slots.  So each count's ``n,theta,`` piece
+        is formatted once a slice and each absorption's ``model,a,`` prefix
+        once a block.  The block's line template joins prefixes, pieces,
+        slots and separators in row order, and one ``%`` fills it with the
+        slots' int fields.
         """
         yield CSV_HEADER + "\n"
         model = self.model.value
         last = None
         for start, a_part, ns, thetas, rows in self._blocks():
-            if start != last:
+            if start == last:
+                angles = []
+            else:  # a new count slice: its angles, or an explicit theta once
+                angles = thetas if self.theta is None else thetas[:1]
+            # then the block's (p_h, p_v, p_b) in row order, absorption outer
+            reals = np.concatenate((angles, a_part, rows.transpose(1, 2, 0).ravel()))
+            texts, slots, fields = _slots(reals, len(angles) + len(a_part))
+            if angles:
                 last = start
-                if self.theta is None:
-                    texts = _format_reals(thetas)
-                else:  # one angle for every row, formatted once
-                    texts = _format_reals(thetas[:1]) * len(ns)
-                pieces = [f"{n},{t},%s,%s,%s" for n, t in zip(ns, texts)]
-            prefixes = [f"{model},{a}," for a in _format_reals(a_part)]
-            lines = [prefix + ("\n" + prefix).join(pieces) for prefix in prefixes]
-            # the block's (p_h, p_v, p_b) in row order, absorption outer
-            p = rows.transpose(1, 2, 0).ravel().tolist()
-            yield ("\n".join(lines) + "\n") % tuple(_format_reals(p))
+                t_texts = texts[: len(angles)] if self.theta is None else texts[:1] * len(ns)
+                pieces = np.array([f"{n},{t}," for n, t in zip(ns, t_texts)], object)
+            prefixes = np.array([f"{model},{a}," for a in texts[len(angles) :]], object)
+            # each line's prefix, piece, slots and separators, joined in row order
+            cells = np.empty((len(a_part), len(ns), 8), object)
+            cells[..., 0] = prefixes[:, None]
+            cells[..., 1] = pieces
+            cells[..., 2::2] = slots.reshape(len(a_part), len(ns), 3)
+            cells[..., 3:6:2] = ","
+            cells[..., 7] = "\n"
+            template = "".join(cells.ravel().tolist())
+            # the % pass, whose strings make the peak, holds none of the block's parts
+            del reals, texts, slots, prefixes, cells
+            yield template % fields
 
 
 def _sweep_count(value, lo: int, name: str) -> int:
@@ -326,11 +342,13 @@ def format_real(x: float) -> str:
     return _format_reals([float(x)])[0]
 
 
-# Lists of at least this many reals take the texts of +0.0 and of [1e-4, 1)
-# from _digit_kernel; a shorter list, the empty one included, is formatted by
-# _dtoa_texts alone, as the kernel's fixed cost of ~40 numpy calls there
-# outweighs what it saves (measured break-even: ~150 values).
-_KERNEL_MIN = 150
+# Lists of at least this many reals take the texts of +0.0 and of
+# [1e-6, 1e17) from _digit_kernel; a shorter list, the empty one included, is
+# formatted by _dtoa_texts alone, as the kernel's fixed cost of ~45 numpy calls
+# there outweighs what it saves.  Measured break-even: ~100 values for the
+# texts of uniform values in [0, 1) or of switching angles, ~40 for a grid's
+# probabilities, and ~65 where the caller takes slots.
+_KERNEL_MIN = 100
 
 
 def _split(x):
@@ -342,53 +360,91 @@ def _split(x):
 
 # A value's kind is its place among the bit patterns of _EDGES, which order
 # as the non-negative doubles do, with every negative double below them: 0
-# negative (-0.0 too), 1 +0.0, 2 below 1e-4, 3 to 6 the decades [1e-4, 1e-3)
-# to [0.1, 1), and 7 for 1 and above, inf and nan.  Each edge literal is the
-# smallest double >= its power of ten, so the classes are exact decades.
-_EDGES = np.array([0.0, 5e-324, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]).view(np.int64)
-_IN_DECADE = np.array([False, False, False, True, True, True, True, False])
-_ELSEWHERE = np.array([True, False, True, False, False, False, False, True])
-_TEMPLATES = np.array(
-    [None, "0.0000000000000000", None, "0.000%d", "0.00%d", "0.0%d", "0.%d", None], object
-)
-# 10**(23 - kind), exact as every power of ten up to 10**22 is, and its split
-_SCALES = np.array([1.0, 1.0, 1.0, 1e20, 1e19, 1e18, 1e17, 1.0])
+# negative (-0.0 too), 1 +0.0, 2 below 1e-6, 3 to 25 the decades [1e-6, 1e-5)
+# to [1e16, 1e17), and 26 for 1e17 and above, inf and nan.  Each edge literal
+# is the smallest double >= its power of ten (1e-6's is the double above
+# 1e-6, which lies below 10**-6), so the classes are exact decades.  Kind k
+# holds the decade [10**(k - 9), 10**(k - 8)), whose 17 digits are
+# v * 10**(25 - k).
+_EDGES = np.array(
+    [0.0, 5e-324, 1.0000000000000002e-06] + [float(f"1e{e}") for e in range(-5, 18)]
+).view(np.int64)
+_KINDS = np.arange(len(_EDGES) + 1)
+_IN_DECADE = (_KINDS >= 3) & (_KINDS <= 25)
+_ELSEWHERE = ~_IN_DECADE & (_KINDS != 1)
+# Each kind's slot by D's first digit: the text with one %d field for the
+# rest of D.  Scientific texts and [1, 10) hold the first digit before the
+# point; [10, 1e16) holds a %0wd for the w digits after the point, to which
+# each value's integer part is prefixed; [1e16, 1e17) ends in the point.
+_TEMPLATES = np.empty((len(_KINDS), 10), object)
+_TEMPLATES[1] = "0.0000000000000000"
+_TEMPLATES[3] = [f"{j}.%016de-06" for j in range(10)]
+_TEMPLATES[4] = [f"{j}.%016de-05" for j in range(10)]
+_TEMPLATES[5:9] = np.array(["0.000%d", "0.00%d", "0.0%d", "0.%d"], object)[:, None]
+_TEMPLATES[9] = [f"{j}.%016d" for j in range(10)]
+_TEMPLATES[10:25] = np.array([f"%0{25 - k}d" for k in range(10, 25)], object)[:, None]
+_TEMPLATES[25] = "%d."
+# 10**16 where the first digit is in the slot, else 0
+_FIRST = np.where(np.isin(_KINDS, (3, 4, 9)), 10**16, 0)
+_WIDE = (_KINDS >= 10) & (_KINDS <= 24)
+# 10**(25 - kind), exact as every power of ten up to 10**22 is, and its split
+_SCALES = np.array([1.0] * 3 + [float(10 ** (25 - k)) for k in range(3, 26)] + [1.0])
 _SCALES_HIGH, _SCALES_LOW = _split(_SCALES)
-# 10**j for the j <= 4 trailing zeros numpy's rule may drop
+# the trailing zeros numpy's rule may drop below 1, z + 1 for z zeros after
+# the point, and 10**j for each j of them
+_PADS = np.where((_KINDS >= 5) & (_KINDS <= 8), 9 - _KINDS, 0)
 _TENS = np.array([1, 10, 100, 1000, 10000])
 
 
 def _format_reals(values) -> list[str]:
     """The CSV contract's text of each real, worked out one of two exact ways.
 
-    A list of at least ``_KERNEL_MIN`` values takes the texts of +0.0 and
-    of values in [1e-4, 1) from ``_digit_kernel``, and every other text
-    from ``_dtoa_texts``; a shorter list takes all of them from
-    ``_dtoa_texts``.  Both write the same bytes.
+    A list of at least ``_KERNEL_MIN`` (100) values takes the texts of +0.0
+    and of values in [1e-6, 1e17) from ``_digit_kernel``, as its slots
+    filled in one ``%`` pass, and every other text from ``_dtoa_texts``; a
+    shorter list takes all of them from ``_dtoa_texts``.  Both write the
+    same bytes.  The CSV writers take slots from ``_slots`` instead.
+    """
+    return _slots(values, len(values))[0]
+
+
+def _slots(values, head: int) -> tuple[list[str], np.ndarray, tuple[int, ...]]:
+    """The texts of ``values[:head]``, and the slots and int fields of the rest.
+
+    ``values`` is a list or a float64 array, and the slots are an object
+    array of str.  ``"".join(slots) % fields`` is the rest's text, and so is
+    any layout that keeps the slots in order and adds no ``%``.  A list
+    shorter than ``_KERNEL_MIN`` takes every text from ``_dtoa_texts``, so
+    its slots are texts and it has no fields.
     """
     if len(values) < _KERNEL_MIN:
-        return _dtoa_texts(values)
-    return _digit_kernel(values)
+        texts = _dtoa_texts(values)
+        return texts[:head], np.array(texts[head:], object), ()
+    return _digit_kernel(values, head)
 
 
-def _digit_kernel(values) -> list[str]:
-    """The texts of ``values``, with the 17 digits of +0.0 and [1e-4, 1) made in numpy.
+def _digit_kernel(values, head: int) -> tuple[list[str], np.ndarray, tuple[int, ...]]:
+    """``_slots`` with the 17 digits of +0.0 and [1e-6, 1e17) made in numpy.
 
-    For v in [1e-4, 1), with z zeros after the point, v * 10**(17 + z) is
-    hi + lo exactly (Dekker's product).  hi is at least 10**16 > 2**53, so
-    it is an even integer, and D = hi + rint(lo) is the 17-digit decimal,
-    rounded half to even.  D never reaches 10**17: the double below each
-    power of ten is more than half a 17th digit below it.  numpy's rule
-    applies where D ends in 0 and D - hi >= lo: it drops up to z + 1
-    trailing zeros, which is stripping them all and padding back to 16
-    decimals.  Then one ``%`` pass writes each D into its decade's
-    template; +0.0's text and the other values' texts, from
-    ``_dtoa_texts``, stand in the template as they are, none holding a ``%``.
+    For v in the decade [10**e, 10**(e + 1)), v * 10**(16 - e) is hi + lo
+    exactly (Dekker's product), as 10**(16 - e) <= 10**22 is exact.  hi is at
+    least 10**16 > 2**53, so it is an even integer, and D = hi + rint(lo) is
+    the 17-digit decimal, rounded half to even.  D never reaches 10**17:
+    the double below each power of ten is more than half a 17th digit below
+    it.  numpy's rule applies below 1, where D ends in 0 and D - hi >= lo:
+    it drops up to z + 1 trailing zeros for z zeros after the point, which
+    is stripping them all and padding back to 16 decimals.  Each value's
+    slot is its decade's template for D's first digit, and its one field is
+    the rest of D: ``1.%016de-05``, ``0.00%d``, ``3.%016d``, or for [10,
+    1e16) the integer part's digits and a ``%0wd`` for the w decimals.
+    +0.0's text and the other values' texts, from ``_dtoa_texts``, are
+    slots as they are, none holding a ``%``.  The head's slots are filled
+    here, in one ``%`` pass.
     """
-    v = np.array(values, dtype=float)
+    v = np.asarray(values, dtype=float)
     kind = np.searchsorted(_EDGES, v.view(np.int64), "right")
-    digits = _IN_DECADE[kind]
-    k = kind[digits]  # with z = 6 - k zeros after the point
+    digits = np.flatnonzero(_IN_DECADE[kind])
+    k = kind[digits]
     d = v[digits]
     hi = d * _SCALES[k]
     d_high, d_low = _split(d)
@@ -397,18 +453,34 @@ def _digit_kernel(values) -> list[str]:
     up = np.rint(lo)
     n = hi.astype(np.int64)
     n += up.astype(np.int64)
-    rule = np.flatnonzero((n % 10 == 0) & (up >= lo))
+    lead = n // 10**16  # D's first digit
+    first = np.zeros(len(v), np.intp)
+    first[digits] = lead
+    n -= lead * _FIRST[k]
+    rule = np.flatnonzero((up >= lo) & (_PADS[k] > 0))
+    rule = rule[n[rule] % 10 == 0]
     if len(rule):
         m = n[rule]  # D's trailing zeros, at most z + 1 of them
-        zeros = (m[:, None] % _TENS[1:] == 0) & (np.arange(1, 5) <= 7 - k[rule, None])
+        zeros = (m[:, None] % _TENS[1:] == 0) & (np.arange(1, 5) <= _PADS[k[rule], None])
         n[rule] = m // _TENS[zeros.sum(1)]
+    slots = _TEMPLATES[kind, first]
+    wide = np.flatnonzero(_WIDE[k])
+    if len(wide):  # the integer part goes into the slot, the decimals stay a field
+        unit = 10 ** (25 - k[wide])
+        slots[digits[wide]] = [
+            f"{q}.{t}" for q, t in zip((n[wide] // unit).tolist(), slots[digits[wide]].tolist())
+        ]
+        n[wide] %= unit
+    split = int(np.searchsorted(digits, head))
     # the text pass, whose strings make the peak, holds none of these arrays
-    del v, k, d, hi, d_high, d_low, s_high, s_low, lo, up
-    texts = _TEMPLATES[kind]
+    del v, digits, k, d, hi, d_high, d_low, s_high, s_low, lo, up, lead, first
+    fields = n.tolist()
+    del n
     rest = np.flatnonzero(_ELSEWHERE[kind])
     if len(rest):
-        texts[rest] = _dtoa_texts([values[i] for i in rest.tolist()])
-    return ("\n".join(texts.tolist()) % tuple(n.tolist())).split("\n")
+        slots[rest] = _dtoa_texts([values[i] for i in rest.tolist()])
+    texts = ("\n".join(slots[:head].tolist()) % tuple(fields[:split])).split("\n") if head else []
+    return texts, slots[head:], tuple(fields[split:])
 
 
 def _dtoa_texts(values) -> list[str]:
@@ -435,11 +507,16 @@ def to_csv(records) -> str:
     """The full CSV text: header plus one line per record, LF terminated."""
     records = iter(records)
     chunks = [CSV_HEADER + "\n"]
-    # a block of records at a time, one line template and one _format_reals call each
+    # a block of records at a time: one _slots call, one line template holding
+    # the slots, and one % pass that fills their fields
     while block := list(islice(records, _BLOCK_ROWS)):
-        template = "".join([f"{r.model},%s,{r.n},%s,%s,%s,%s\n" for r in block])
         reals = [x for r in block for x in (r.a, r.theta, r.p_h, r.p_v, r.p_b)]
-        chunks.append(template % tuple(_format_reals(reals)))
+        _, slots, fields = _slots(reals, 0)
+        template = "".join([
+            f"{r.model},{a},{r.n},{t},{h},{v},{b}\n"
+            for r, (a, t, h, v, b) in zip(block, zip(*[iter(slots.tolist())] * 5))
+        ])  # fmt: skip
+        chunks.append(template % fields)
     return "".join(chunks)
 
 

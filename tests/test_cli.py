@@ -91,6 +91,9 @@ PINNED_STDOUT = {
     "grid --cycles 64 --steps 7 --theta 2.5 --model absent": "361a2ac12787",
     "sweep-cycles --cycles 300 --absorption 1 --model collapse": "f5695386547e",
     "sweep-absorption --cycles 3 --steps 11 --model collapse": "363da086c75e",
+    # angles, absorptions and probabilities that fill [1e-6, 1e-4) and [1e-4, 1)
+    "sweep-cycles --cycles 20000": "ae1e72b92344",
+    "sweep-absorption --cycles 24 --steps 20001": "40ac4791e30b",
     "run --cycles 3 --absorption 1 --model collapse": "9b625a019a01",
     # integer counts and IEEE arithmetic; p_hat holds 0.86490000000000000 (17
     # digits, rounded down) and 0.0023000000000000 (a carry, padded)
@@ -277,28 +280,29 @@ class TestStreamedCsv:
         # count slice, walked once to evaluate the rows and once to write or
         # return them.  Each block takes its angles from one switching_angle
         # call on its counts as an array, and csv() formats the slice's angles
-        # once a walk, not once a block: formatting them per block cost 34% on
-        # grid --cycles 3000 --steps 100.  An explicit theta calls no angle.
+        # once a walk, at the head of its first block's _slots call, not once a
+        # block: formatting them per block cost 34% on grid --cycles 3000
+        # --steps 100.  An explicit theta calls no angle.
         monkeypatch.setattr(sweep, "_BLOCK_ROWS", 8)
-        angle, format_reals = sweep.operators.switching_angle, sweep._format_reals
+        angle, slots = sweep.operators.switching_angle, sweep._slots
         counts, formatted = [], []
 
         def counted_angle(n):
             counts.append(n)
             return angle(n)
 
-        def counted_format(values):
-            formatted.append(list(values))
-            return format_reals(values)
+        def counted_slots(values, head):
+            formatted.append(list(values[:head]))  # the head's texts: angles, then absorptions
+            return slots(values, head)
 
         monkeypatch.setattr(sweep.operators, "switching_angle", counted_angle)
-        monkeypatch.setattr(sweep, "_format_reals", counted_format)
+        monkeypatch.setattr(sweep, "_slots", counted_slots)
         thetas = [angle(n) for n in (1, 2, 3)]
         code, out = _run(capsys, ["grid", "--cycles", "3", "--steps", "10"])
         assert code == 0 and out.count("\n") == 31
         assert len(counts) == 2 * 5
         assert all(type(n) is np.ndarray and n.tolist() == [1, 2, 3] for n in counts)
-        assert formatted.count(thetas) == 1
+        assert [head[:3] for head in formatted].count(thetas) == 1
         counts.clear()
         assert [r.theta for r in sweep_grid(3, 10, "coherent")] == thetas * 10
         assert len(counts) == 2 * 5
@@ -307,7 +311,7 @@ class TestStreamedCsv:
         formatted.clear()
         code, out = _run(capsys, ["grid", "--cycles", "3", "--steps", "10", "--theta", "0.3"])
         assert code == 0 and out.count("\n") == 31
-        assert formatted.count([0.3]) == 1
+        assert [head[:1] for head in formatted].count([0.3]) == 1
         assert len(sweep_grid(3, 10, "coherent", 0.3)) == 30
         assert counts == []
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ifmsim import operators
+from ifmsim.evolution import closed_form_no_particle
 from ifmsim.operators import (
     NOT_B,
     Basis,
@@ -40,6 +41,21 @@ class TestRotator2:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             rotator2(np.inf)
+
+    # numpy reads None as NaN; an angle that is not a number is named by its
+    # type, as float(None) names it, not reported as a non-finite angle
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: rotator2(None),
+            lambda: rotator2([0.1, None]),
+            lambda: closed_form_no_particle(None, 3),
+        ],
+        ids=["rotator2", "rotator2-element", "closed_form_no_particle"],
+    )
+    def test_a_non_number_angle_raises_a_type_error_naming_its_type(self, call):
+        with pytest.raises(TypeError, match="not 'NoneType'$"):
+            call()
 
 
 class TestRotatorEigen:

@@ -185,9 +185,40 @@ class TestFormatReals:
         assert Fraction(edge) >= power > Fraction(below)
         assert power - Fraction(below) > Fraction(1, 10 ** (17 + j)) / 2
 
+    @pytest.mark.parametrize("j", [-6, -5, *range(18)])
+    def test_widened_edge_literals_are_exact_decades(self, j):
+        # The kernel's edge for 10**j, the edges it took on beyond [1e-4, 1)
+        # included, is the smallest double >= 10**j: for 10**-6 the double
+        # above 1e-6, which lies below 10**-6.  The double below it is more
+        # than half a 17th digit below 10**j, so no value rounds up into the
+        # next decade.
+        edge = float(sweep._EDGES.view(np.float64)[j + 8])
+        below = math.nextafter(edge, 0.0)
+        power = Fraction(10) ** j
+        assert Fraction(edge) >= power > Fraction(below)
+        assert power - Fraction(below) > Fraction(10) ** (j - 17) / 2
+
+    def test_widened_decade_edges(self):
+        # The kernel's decades beyond [1e-4, 1) begin at 1e-6, 1e-5 and 1 to
+        # 1e15 (test_notation_boundaries covers 1e16 and 1e17): 300 neighbours
+        # each side of each, and the 18-digit decimals just below each power
+        # that a 17-digit rounding would carry into it.
+        values = []
+        for j in (-6, -5, *range(16)):
+            edge = float(f"1e{j}")
+            for toward in (0.0, math.inf):
+                v = edge
+                for _ in range(300):
+                    v = math.nextafter(v, toward)
+                    values.append(v)
+            values.append(edge)
+            values += [float(f"9.{'9' * 15}{t}{u}e{j - 1}") for t in (8, 9) for u in range(10)]
+        self._assert_matches(values + [-v for v in values])
+
     def test_only_values_outside_the_kernel_reach_dtoa(self, monkeypatch):
         # A grid block's 1,500 probabilities: the kernel writes +0.0 and
-        # [1e-4, 1), and only the rest (1.0, small p, -0.0) go to %#.17g.
+        # [1e-6, 1e17), and only the rest (p below 1e-6, -0.0, nan) go to
+        # %#.17g.  The double 1e-6 lies below 10**-6, so the class is > 1e-6.
         s = sweep._Sweep(sweep._absorption_grid(5), sweep._cycle_counts(100), "coherent", None)
         values = s.p.transpose(1, 2, 0).ravel().tolist()
         values[:3] = [-0.0, 5e-5, math.nan]
@@ -200,7 +231,7 @@ class TestFormatReals:
 
         monkeypatch.setattr(sweep, "_dtoa_texts", recorded)
         texts = sweep._format_reals(values)
-        kernel = [1e-4 <= v < 1.0 or (v == 0.0 and math.copysign(1, v) > 0) for v in values]
+        kernel = [1e-6 < v < 1e17 or (v == 0.0 and math.copysign(1, v) > 0) for v in values]
         rest = [v for v, k in zip(values, kernel) if not k]
         assert 3 < len(rest) < 150
         assert passed == [rest]  # the same nan object, so equal in a list
@@ -552,6 +583,26 @@ class TestCsv:
         expected = to_csv(records)
         monkeypatch.setattr(sweep, "_BLOCK_ROWS", block)
         assert to_csv(records) == to_csv(iter(records)) == expected
+
+    @pytest.mark.parametrize(
+        "a_values,n_max,model,theta",
+        [
+            (sweep._absorption_grid(7), 300, "collapse", None),
+            (sweep._absorption_grid(41), 20, "coherent", 3.0),
+            ([1e-5], 2000, "coherent", None),
+        ],
+        ids=["auto-theta", "theta-3", "a-1e-5"],
+    )
+    def test_csv_walk_equals_to_csv_of_its_records(
+        self, monkeypatch, a_values, n_max, model, theta
+    ):
+        # Blocks of 128 rows, slices of one absorption's counts or several
+        # absorptions' counts, each through the digit kernel.  Between them
+        # the shapes' angles, absorptions and probabilities hold +0.0, values
+        # below 1e-6 and every decade from [1e-6, 1e-5) to [1, 10).
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", 128)
+        s = sweep._Sweep(a_values, sweep._cycle_counts(n_max), model, theta)
+        assert "".join(s.csv()) == to_csv(s.records())
 
     def test_header_constant(self):
         assert to_csv([]) == CSV_HEADER + "\n"
