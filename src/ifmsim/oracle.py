@@ -35,7 +35,13 @@ stream position (key and draw counter in one word, key + (j+1)*PHI for its
 next draw j) and its table index k.
 estimate() streams trajectory indices through the kernels in fixed-size
 chunks and sums their counts, so memory stays bounded however many
-trajectories are asked for.
+trajectories are asked for.  Each chunk's index array becomes its keys in
+place, and the collapse kernel advances those keys in place as its stream
+positions, so a chunk holds no spare copy of either.
+
+The same streams serve as the package's only seeded sampler: _Stream(seed)
+hands out trajectory 0's draws of `seed` as uniforms, and the `verify`
+suite draws all its samples from it.
 """
 
 from __future__ import annotations
@@ -93,8 +99,15 @@ def _check_u64(value: int, name: str) -> int:
 
 
 def _keys_for(seed: int, indices: np.ndarray) -> np.ndarray:
+    """The keys mix64(seed + (i+1)*PHI) of a uint64 array of indices i.
+
+    Consumes `indices`: the keys are made in its array, which is returned.
+    """
     # uint64 arithmetic wraps silently only for arrays, so stay vectorized
-    return _mix64(np.uint64(seed) + (indices + np.uint64(1)) * _PHI)
+    indices += np.uint64(1)
+    indices *= _PHI
+    indices += np.uint64(seed)
+    return _mix64(indices)
 
 
 def trajectory_keys(seed: int, count: int) -> np.ndarray:
@@ -124,6 +137,27 @@ def _draw53(
     x = _mix64(positions, out, scratch)
     x >>= np.uint64(11)
     return x
+
+
+class _Stream:
+    """The draws of trajectory 0 of `seed`, in order, as uniforms in [0, 1).
+
+    random(size) returns the next `size` uniforms d * 2**-53 and moves past
+    them, as numpy's Generator.random does.  They are the draws
+    sample_trajectory reads for trajectory_key(seed, 0), and each is an
+    exact IEEE function of its integer draw, the same on every platform.
+    """
+
+    def __init__(self, seed: int):
+        self._key = np.uint64(trajectory_key(seed, 0))
+        self._drawn = 0
+
+    def random(self, size: int) -> np.ndarray:
+        pos = np.arange(self._drawn + 1, self._drawn + size + 1, dtype=np.uint64)
+        self._drawn += size
+        pos *= _PHI
+        pos += self._key
+        return _draw53(pos) * 2.0**-53
 
 
 def _cut(p):
@@ -239,10 +273,12 @@ def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _Table):
     a = 0, since between measurements nothing absorbs.  Per-trajectory state
     is its stream position (key + (j+1)*PHI for its next draw j, per
     trajectory because measuring cycles consume a second draw) and k.
-    Returns (counts, max |norm^2 - 1| over the amplitudes survivors held).
+    Consumes `keys`: their array becomes the stream positions.  Returns
+    (counts, max |norm^2 - 1| over the amplitudes survivors held).
     """
     m = keys.shape[0]
-    pos = keys + _PHI
+    pos = keys
+    pos += _PHI
     # k <= n, and a table of 2**31 entries is far beyond any run, so int32 holds it
     k = np.zeros(m, dtype=np.int32)
     # the first draw of every cycle goes into first and its test into mask
@@ -265,12 +301,18 @@ def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _Table):
             measuring = np.less(draw, cut_a, out=mask[:size])
             measuring &= alive
             measured = np.flatnonzero(measuring)
-            if measured.shape[0]:
-                second = pos.take(measured)
+            n_measured = measured.shape[0]
+            if n_measured:
+                # first and tmp are free once measuring is made.  mode="clip"
+                # writes straight into them (the default buffers its output);
+                # it clips nothing, since measured comes from flatnonzero of
+                # an array the size of pos, and k <= n < len(table.cut_v).
+                second = pos.take(measured, out=first[:n_measured], mode="clip")
                 second += _PHI
                 pos[measured] = second  # measuring streams move one draw further
                 k_measured = k.take(measured)
-                hit = _draw53(second) < table.cut_v.take(k_measured)
+                draw = _draw53(second, scratch=tmp[:n_measured])
+                hit = draw < table.cut_v.take(k_measured, out=tmp[:n_measured], mode="clip")
                 k_max = max(k_max, int(k_measured.max()) - 1)
                 # A miss collapses to |H>; a hit is absorbed and masked, so its
                 # k is moot.  On 65,536 entries, half measured, multiplying by

@@ -5,6 +5,11 @@ unitarity, channel trace preservation, positivity, closed-form agreement,
 model equivalence at the extremes, Monte Carlo concordance).  All sampling
 is seeded, so two runs produce byte-identical reports.
 
+Seeded samples come from the oracle's counter-based streams: a check that
+samples reads trajectory 0 of seed _RNG_SEED + k through oracle._Stream,
+so numpy.random is never loaded.  Every sample is exact IEEE arithmetic
+on 53-bit integer draws, so the report is the same on every platform.
+
 Seeded samples are drawn in a fixed order, and then built, stepped,
 multiplied and reduced as stacks: the step kernels, the Kraus sets and the
 operator constructors take (..., d, d) stacks, so no check loops over its
@@ -51,26 +56,28 @@ def _dagger(m) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _random_states(rng, count: int, *ranges) -> tuple[np.ndarray, ...]:
+def _random_states(source, count: int, *ranges) -> tuple[np.ndarray, ...]:
     """`count` seeded samples: one float array per (lo, hi) range, then their states.
 
-    Each sample draws one uniform per range, in order, then the 18 normals
-    of G = N0 + i N1; its state is G G^+ at unit trace.  Only the draws
-    loop over the samples: the states are built as one (count, 3, 3) stack.
+    One source.random(count * (len(ranges) + 18)) call draws them all.
+    Each sample takes its uniforms u in order: one per range, read as
+    lo + (hi - lo) * u, then the 18 entries 2u - 1 of G = N0 + i N1, each
+    uniform on [-1, 1); its state is G G^+ at unit trace.  So `count`
+    samples in one call equal `count` calls of one sample, bit for bit.
+    The source is an oracle._Stream or anything with its random(size),
+    such as a numpy Generator.
     """
-    params = np.empty((len(ranges), count))
-    normals = np.empty((count, 2, 3, 3))
-    for i in range(count):
-        params[:, i] = [rng.uniform(lo, hi) for lo, hi in ranges]
-        normals[i] = rng.normal(size=(2, 3, 3))
-    g = normals[:, 0] + 1j * normals[:, 1]
+    u = source.random(count * (len(ranges) + 18)).reshape(count, -1)
+    params = [lo + (hi - lo) * u[:, i] for i, (lo, hi) in enumerate(ranges)]
+    entries = 2.0 * u[:, len(ranges) :].reshape(count, 2, 3, 3) - 1.0
+    g = entries[:, 0] + 1j * entries[:, 1]
     rho = g @ _dagger(g)
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
     return (*params, rho)
 
 
 def _check_operator_unitarity() -> tuple[bool, str]:
-    thetas = np.random.default_rng(_RNG_SEED).uniform(0.0, 2.0 * np.pi, size=100)
+    thetas = 2.0 * np.pi * oracle._Stream(_RNG_SEED).random(100)
     dev = max(
         np.abs(u @ _dagger(u) - np.eye(u.shape[-1])).max()
         for u in (
@@ -123,10 +130,10 @@ def _check_rotator_closed_form() -> tuple[bool, str]:
 
 
 def _check_kraus_completeness() -> tuple[bool, str]:
-    rng = np.random.default_rng(_RNG_SEED + 1)
+    stream = oracle._Stream(_RNG_SEED + 1)
     dev = 0.0
     for model in (evolution.ParticleModel.COHERENT, evolution.ParticleModel.COLLAPSE):
-        theta, a = rng.uniform((0.0, 0.0), (np.pi, 1.0), size=(25, 2)).T
+        theta, a = np.pi * stream.random(25), stream.random(25)
         total = sum(_dagger(k) @ k for k in evolution.kraus_operators(model, theta, a))
         dev = max(dev, np.abs(total - np.eye(3)).max())
     return dev <= 1e-13, f"max |sum K^+K - I| = {dev:.3e} (tol 1e-13)"
@@ -139,8 +146,8 @@ def _step_outputs() -> tuple[np.ndarray, np.ndarray]:
     ``outs[200 + k]`` the collapse step of sample k, whose state is
     ``rhos[k] == rhos[200 + k]``.
     """
-    rng = np.random.default_rng(_RNG_SEED + 2)
-    theta, a, rho = _random_states(rng, 200, (0.0, np.pi), (0.0, 1.0))
+    stream = oracle._Stream(_RNG_SEED + 2)
+    theta, a, rho = _random_states(stream, 200, (0.0, np.pi), (0.0, 1.0))
     outs = np.concatenate(
         [evolution.step_coherent(rho, theta, a), evolution.step_collapse(rho, theta, a)]
     )
@@ -169,8 +176,8 @@ def _check_positivity_preservation(rhos, outs) -> tuple[bool, str]:
 def _check_absorbed_fixed_point() -> tuple[bool, str]:
     rho_b = np.zeros((3, 3), dtype=complex)
     rho_b[2, 2] = 1.0
-    rng = np.random.default_rng(_RNG_SEED + 3)
-    theta, a = rng.uniform((0.0, 0.0), (np.pi, 1.0), size=(20, 2)).T
+    stream = oracle._Stream(_RNG_SEED + 3)
+    theta, a = np.pi * stream.random(20), stream.random(20)
     ok = (evolution.step_coherent(rho_b, theta, a) == rho_b).all()
     ok &= (evolution.step_collapse(rho_b, theta, a) == rho_b).all()
     return ok, "|B><B| invariant exactly, both models"
@@ -210,10 +217,10 @@ def _check_perfect_switching(absent) -> tuple[bool, str]:
 
 
 def _check_model_equivalence() -> tuple[bool, str]:
-    rng = np.random.default_rng(_RNG_SEED + 4)
+    stream = oracle._Stream(_RNG_SEED + 4)
     devs = {}
     for a in (0.0, 1.0):
-        theta, rho = _random_states(rng, 100, (0.0, np.pi))
+        theta, rho = _random_states(stream, 100, (0.0, np.pi))
         devs[a] = np.abs(
             evolution.step_coherent(rho, theta, a) - evolution.step_collapse(rho, theta, a)
         ).max()

@@ -229,3 +229,16 @@ def test_import_loads_no_unneeded_module():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert json.loads(result.stdout) == []
+
+
+def test_run_checks_loads_no_numpy_random():
+    # verify samples from the oracle's counter-based streams, so the whole
+    # suite runs without numpy's random package
+    code = "import sys\nimport ifmsim\nifmsim.run_checks()\nprint('numpy.random' in sys.modules)\n"
+    src = str(Path(ifmsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "False\n"

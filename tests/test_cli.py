@@ -99,7 +99,7 @@ PINNED_STDOUT = {
     # digits, rounded down) and 0.0023000000000000 (a carry, padded)
     "oracle --cycles 50 --absorption 0.5 --trajectories 10000 --model collapse": "830b2efc426a",
     "oracle --cycles 50 --absorption 0.5 --trajectories 10000 --model coherent": "60e75e474967",
-    "verify": "4683b9358938",
+    "verify": "74e1f84e219f",
 }
 
 

@@ -228,6 +228,21 @@ class TestChunking:
         assert large <= 1.1 * small
         assert max(small, large) < 16 * 2**20
 
+    # Measured peaks at this shape: 3.24 MiB collapse and 1.63 MiB coherent,
+    # whatever the seed.  Each bound leaves ~8-10% for allocator and numpy
+    # differences and stays below the 4.46 and 2.13 MiB that the kernels
+    # took while each chunk kept a spare copy of its indices or positions.
+    @pytest.mark.parametrize("model,bound_mib", [("collapse", 3.5), ("coherent", 1.8)])
+    def test_kernel_footprint_at_the_benchmark_shape(self, model, bound_mib):
+        tc = TrajectoryConfig(cycle=_cfg(model, 0.5, 50), trajectories=100_000)
+        tracemalloc.start()
+        try:
+            estimate(tc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
+
 
 def _survivor_state(cycle):
     """evolve's (h, v): the populations of the not-absorbed block."""

@@ -10,11 +10,12 @@ with probability about 2**-53 per draw.
 """
 
 import math
+from itertools import islice
 
 import pytest
 
 from ifmsim.evolution import CycleConfig, ParticleModel
-from ifmsim.oracle import TrajectoryConfig, estimate
+from ifmsim.oracle import TrajectoryConfig, _Stream, estimate
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -100,3 +101,10 @@ def test_estimate_replays_the_documented_draw_order(model, a, theta, n, trajecto
         counts[outcome(_stream(seed, i), n, cycle.resolved_theta(), cycle.a)] += 1
     est = estimate(TrajectoryConfig(cycle=cycle, trajectories=trajectories, seed=seed))
     assert est.counts == tuple(counts)
+
+
+@pytest.mark.parametrize("seed", [0, 20240917, 2**64 - 1])
+def test_seeded_stream_replays_trajectory_zero(seed):
+    stream = _Stream(seed)
+    got = [*stream.random(1), *stream.random(0), *stream.random(40), *stream.random(159)]
+    assert got == list(islice(_stream(seed, 0), 200))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ifmsim.operators
-from ifmsim import evolution, linalg, sweep, verify
+from ifmsim import evolution, linalg, oracle, sweep, verify
 from ifmsim.verify import CheckResult, render_report, run_checks
 
 EXPECTED_NAMES = [
@@ -29,10 +29,10 @@ PINNED_REPORT = (
     "PASS projector-algebra: completeness, idempotence, orthogonality exact\n"
     "PASS rotator-closed-form: power dev 7.711e-14 (tol 1e-12), "
     "eigen reconstruction dev 2.220e-16 (tol 1e-13)\n"
-    "PASS kraus-completeness: max |sum K^+K - I| = 2.220e-16 (tol 1e-13)\n"
-    "PASS trace-preservation: max trace drift 2.228e-16 (tol 1e-13)\n"
-    "PASS positivity-preservation: max hermiticity dev 8.246e-17 (tol 1e-12), "
-    "min eigenvalue 1.293e-03 (floor -1e-10)\n"
+    "PASS kraus-completeness: max |sum K^+K - I| = 4.441e-16 (tol 1e-13)\n"
+    "PASS trace-preservation: max trace drift 3.331e-16 (tol 1e-13)\n"
+    "PASS positivity-preservation: max hermiticity dev 8.680e-17 (tol 1e-12), "
+    "min eigenvalue 6.694e-04 (floor -1e-10)\n"
     "PASS absorbed-state-fixed-point: |B><B| invariant exactly, both models\n"
     "PASS absorbed-population-monotone: max decrease 0.000e+00 (tol 1e-13)\n"
     "PASS limiting-closed-forms: max closed-form deviation 9.798e-15 over N = 1..100 (tol 1e-10)\n"
@@ -377,13 +377,6 @@ class TestStackedReductions:
         )
 
 
-def _looped_random_state(rng):
-    """One seeded state drawn and built on its own: the per-sample reference."""
-    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def _assert_same_bits(got, expected):
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
@@ -392,31 +385,40 @@ def _assert_same_bits(got, expected):
 
 
 class TestRandomStates:
-    """`_random_states` draws what a per-sample loop drew, in the same
-    order, and builds the same states bit for bit."""
+    """`_random_states` takes each sample's draws in order from one call, so
+    a stack of samples is the sequence of its one-sample calls, bit for bit."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_equals_the_per_sample_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        samples = [
-            (rng.uniform(0.0, np.pi), rng.uniform(0.0, 1.0), _looped_random_state(rng))
-            for _ in range(300)
-        ]
-        expected = [np.array(field) for field in zip(*samples)]
-        stacked_rng = np.random.default_rng(seed)
-        got = verify._random_states(stacked_rng, 300, (0.0, np.pi), (0.0, 1.0))
+    def test_one_call_equals_one_sample_calls(self, seed):
+        ranges = ((0.0, np.pi), (0.0, 1.0))
+        stream, stacked_stream = oracle._Stream(seed), oracle._Stream(seed)
+        samples = [verify._random_states(stream, 1, *ranges) for _ in range(300)]
+        expected = [np.concatenate(field) for field in zip(*samples)]
+        got = verify._random_states(stacked_stream, 300, *ranges)
         assert len(got) == 3
         for field, reference in zip(got, expected):
             _assert_same_bits(field, reference)
         # both streams stop at the same draw
-        assert stacked_rng.uniform() == rng.uniform()
+        _assert_same_bits(stacked_stream.random(3), stream.random(3))
 
     def test_count_one_without_ranges_repeats_the_state_sequence(self):
-        rng, stacked_rng = np.random.default_rng(4), np.random.default_rng(4)
-        for _ in range(200):
-            (rho,) = verify._random_states(stacked_rng, 1)
+        stream, stacked_stream = oracle._Stream(4), oracle._Stream(4)
+        (expected,) = verify._random_states(stacked_stream, 200)
+        for reference in expected:
+            (rho,) = verify._random_states(stream, 1)
             assert rho.shape == (1, 3, 3)
-            _assert_same_bits(rho[0], _looped_random_state(rng))
+            _assert_same_bits(rho[0], reference)
+        _assert_same_bits(stacked_stream.random(3), stream.random(3))
+
+    def test_a_numpy_generator_is_a_source(self):
+        theta, rho = verify._random_states(np.random.default_rng(5), 50, (0.0, np.pi))
+        u = np.random.default_rng(5).random(50 * 19).reshape(50, 19)
+        _assert_same_bits(theta, np.pi * u[:, 0])
+        g = ((2.0 * u[:, 1:10] - 1.0) + 1j * (2.0 * u[:, 10:] - 1.0)).reshape(50, 3, 3)
+        reference = g @ verify._dagger(g)
+        reference /= np.trace(reference, axis1=1, axis2=2).real[:, None, None]
+        _assert_same_bits(rho, reference)
+        assert np.linalg.eigvalsh(rho).min() > 0.0
 
 
 class TestSeedIsolation:
