@@ -394,11 +394,17 @@ def probabilities(rho) -> Probabilities:
 
 
 def closed_form_no_particle(theta: float, n: int) -> Probabilities:
-    """Exact outcome probabilities with nothing in the arm: n plain rotations.
+    """Outcome probabilities with nothing in the arm: n plain rotations.
 
-    (cos^2(n theta), sin^2(n theta), 0); the accumulated angle is reduced
-    modulo 2*pi before the trig evaluation.  ValueError if theta is not
-    finite or n*theta is beyond the float range.
+    (cos^2(n theta), sin^2(n theta), 0), with the accumulated angle taken
+    as the float product theta * n and reduced modulo 2*pi before the trig
+    evaluation.  The phase is exact only where that product is, a double
+    times n with no rounding; else it is off by up to half an ulp of
+    n*theta, about 1.1e-16 * |n*theta| radians, which grows with n:
+    against 80-digit mpmath p_h is off by 1.17e-9 at (theta, n) = (0.3,
+    1e8) and 9.14e-2 at (2.5, 1e15).  An exact reduction is ROADMAP item
+    21.  ValueError if theta is not finite or n*theta is beyond the float
+    range.
     """
     n = operators._check_float_count(n, 0, "n must be a non-negative integer")
     angle = float(operators._check_angle(theta)) * n

@@ -46,10 +46,10 @@ The rule is computed two ways, which write the same bytes.
 ``_dtoa_texts`` formats a list in one ``%#.17g`` pass, CPython's
 correctly rounded conversion, then tests the padding rule in integers.
 ``_digit_kernel`` makes the 17 digits in numpy arrays for +0.0 and every
-value in [1e-6, 1e17), the decades whose power of ten scales a double
-exactly, and leaves every other value (below 1e-6, 1e17 and above,
-negatives, -0.0, nan and inf) to ``_dtoa_texts``.  A list of at least
-``_KERNEL_MIN`` (100) values, such as a CSV block, goes through the
+value in [1e-6, 10), the decades of a sweep's absorptions, probabilities
+and switching angles, and leaves every other value (below 1e-6, 10 and
+above, negatives, -0.0, nan and inf) to ``_dtoa_texts``.  A list of at
+least ``_KERNEL_MIN`` (100) values, such as a CSV block, goes through the
 kernel; a shorter one, such as ``format_real``'s, does not, as below that
 size the kernel's fixed cost outweighs what it saves.
 """
@@ -343,7 +343,7 @@ def format_real(x: float) -> str:
 
 
 # Lists of at least this many reals take the texts of +0.0 and of
-# [1e-6, 1e17) from _digit_kernel; a shorter list, the empty one included, is
+# [1e-6, 10) from _digit_kernel; a shorter list, the empty one included, is
 # formatted by _dtoa_texts alone, as the kernel's fixed cost of ~45 numpy calls
 # there outweighs what it saves.  Measured break-even: ~100 values for the
 # texts of uniform values in [0, 1) or of switching angles, ~40 for a grid's
@@ -360,35 +360,30 @@ def _split(x):
 
 # A value's kind is its place among the bit patterns of _EDGES, which order
 # as the non-negative doubles do, with every negative double below them: 0
-# negative (-0.0 too), 1 +0.0, 2 below 1e-6, 3 to 25 the decades [1e-6, 1e-5)
-# to [1e16, 1e17), and 26 for 1e17 and above, inf and nan.  Each edge literal
-# is the smallest double >= its power of ten (1e-6's is the double above
-# 1e-6, which lies below 10**-6), so the classes are exact decades.  Kind k
-# holds the decade [10**(k - 9), 10**(k - 8)), whose 17 digits are
-# v * 10**(25 - k).
+# negative (-0.0 too), 1 +0.0, 2 below 1e-6, 3 to 9 the decades [1e-6, 1e-5)
+# to [1, 10), and kind 10 for 10 and above, inf and nan.  Each edge literal is the
+# smallest double >= its power of ten (1e-6's is the double above 1e-6, which
+# lies below 10**-6), so the classes are exact decades.  Kind k holds the
+# decade [10**(k - 9), 10**(k - 8)), whose 17 digits are v * 10**(25 - k).
 _EDGES = np.array(
-    [0.0, 5e-324, 1.0000000000000002e-06] + [float(f"1e{e}") for e in range(-5, 18)]
+    [0.0, 5e-324, 1.0000000000000002e-06] + [float(f"1e{e}") for e in range(-5, 2)]
 ).view(np.int64)
 _KINDS = np.arange(len(_EDGES) + 1)
-_IN_DECADE = (_KINDS >= 3) & (_KINDS <= 25)
+_IN_DECADE = (_KINDS >= 3) & (_KINDS <= 9)
 _ELSEWHERE = ~_IN_DECADE & (_KINDS != 1)
 # Each kind's slot by D's first digit: the text with one %d field for the
 # rest of D.  Scientific texts and [1, 10) hold the first digit before the
-# point; [10, 1e16) holds a %0wd for the w digits after the point, to which
-# each value's integer part is prefixed; [1e16, 1e17) ends in the point.
+# point.
 _TEMPLATES = np.empty((len(_KINDS), 10), object)
 _TEMPLATES[1] = "0.0000000000000000"
 _TEMPLATES[3] = [f"{j}.%016de-06" for j in range(10)]
 _TEMPLATES[4] = [f"{j}.%016de-05" for j in range(10)]
 _TEMPLATES[5:9] = np.array(["0.000%d", "0.00%d", "0.0%d", "0.%d"], object)[:, None]
 _TEMPLATES[9] = [f"{j}.%016d" for j in range(10)]
-_TEMPLATES[10:25] = np.array([f"%0{25 - k}d" for k in range(10, 25)], object)[:, None]
-_TEMPLATES[25] = "%d."
 # 10**16 where the first digit is in the slot, else 0
 _FIRST = np.where(np.isin(_KINDS, (3, 4, 9)), 10**16, 0)
-_WIDE = (_KINDS >= 10) & (_KINDS <= 24)
 # 10**(25 - kind), exact as every power of ten up to 10**22 is, and its split
-_SCALES = np.array([1.0] * 3 + [float(10 ** (25 - k)) for k in range(3, 26)] + [1.0])
+_SCALES = np.array([1.0] * 3 + [float(10 ** (25 - k)) for k in range(3, 10)] + [1.0])
 _SCALES_HIGH, _SCALES_LOW = _split(_SCALES)
 # the trailing zeros numpy's rule may drop below 1, z + 1 for z zeros after
 # the point, and 10**j for each j of them
@@ -400,7 +395,7 @@ def _format_reals(values) -> list[str]:
     """The CSV contract's text of each real, worked out one of two exact ways.
 
     A list of at least ``_KERNEL_MIN`` (100) values takes the texts of +0.0
-    and of values in [1e-6, 1e17) from ``_digit_kernel``, as its slots
+    and of values in [1e-6, 10) from ``_digit_kernel``, as its slots
     filled in one ``%`` pass, and every other text from ``_dtoa_texts``; a
     shorter list takes all of them from ``_dtoa_texts``.  Both write the
     same bytes.  The CSV writers take slots from ``_slots`` instead.
@@ -424,7 +419,7 @@ def _slots(values, head: int) -> tuple[list[str], np.ndarray, tuple[int, ...]]:
 
 
 def _digit_kernel(values, head: int) -> tuple[list[str], np.ndarray, tuple[int, ...]]:
-    """``_slots`` with the 17 digits of +0.0 and [1e-6, 1e17) made in numpy.
+    """``_slots`` with the 17 digits of +0.0 and [1e-6, 10) made in numpy.
 
     For v in the decade [10**e, 10**(e + 1)), v * 10**(16 - e) is hi + lo
     exactly (Dekker's product), as 10**(16 - e) <= 10**22 is exact.  hi is at
@@ -435,11 +430,10 @@ def _digit_kernel(values, head: int) -> tuple[list[str], np.ndarray, tuple[int, 
     it drops up to z + 1 trailing zeros for z zeros after the point, which
     is stripping them all and padding back to 16 decimals.  Each value's
     slot is its decade's template for D's first digit, and its one field is
-    the rest of D: ``1.%016de-05``, ``0.00%d``, ``3.%016d``, or for [10,
-    1e16) the integer part's digits and a ``%0wd`` for the w decimals.
-    +0.0's text and the other values' texts, from ``_dtoa_texts``, are
-    slots as they are, none holding a ``%``.  The head's slots are filled
-    here, in one ``%`` pass.
+    the rest of D: ``1.%016de-05``, ``0.00%d`` or ``3.%016d``.  +0.0's
+    text and the other values' texts, from ``_dtoa_texts``, are slots as
+    they are, none holding a ``%``.  The head's slots are filled here, in
+    one ``%`` pass.
     """
     v = np.asarray(values, dtype=float)
     kind = np.searchsorted(_EDGES, v.view(np.int64), "right")
@@ -464,13 +458,6 @@ def _digit_kernel(values, head: int) -> tuple[list[str], np.ndarray, tuple[int, 
         zeros = (m[:, None] % _TENS[1:] == 0) & (np.arange(1, 5) <= _PADS[k[rule], None])
         n[rule] = m // _TENS[zeros.sum(1)]
     slots = _TEMPLATES[kind, first]
-    wide = np.flatnonzero(_WIDE[k])
-    if len(wide):  # the integer part goes into the slot, the decimals stay a field
-        unit = 10 ** (25 - k[wide])
-        slots[digits[wide]] = [
-            f"{q}.{t}" for q, t in zip((n[wide] // unit).tolist(), slots[digits[wide]].tolist())
-        ]
-        n[wide] %= unit
     split = int(np.searchsorted(digits, head))
     # the text pass, whose strings make the peak, holds none of these arrays
     del v, digits, k, d, hi, d_high, d_low, s_high, s_low, lo, up, lead, first

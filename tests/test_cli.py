@@ -94,6 +94,9 @@ PINNED_STDOUT = {
     # angles, absorptions and probabilities that fill [1e-6, 1e-4) and [1e-4, 1)
     "sweep-cycles --cycles 20000": "ae1e72b92344",
     "sweep-absorption --cycles 24 --steps 20001": "40ac4791e30b",
+    # an explicit theta of 10 and above, in a block the digit kernel takes
+    "grid --cycles 64 --steps 7 --theta 12.5": "be634f5b7590",
+    "sweep-cycles --cycles 300 --theta 1234.5 --model collapse": "70c4cfee7d6f",
     "run --cycles 3 --absorption 1 --model collapse": "9b625a019a01",
     # integer counts and IEEE arithmetic; p_hat holds 0.86490000000000000 (17
     # digits, rounded down) and 0.0023000000000000 (a carry, padded)

@@ -185,11 +185,11 @@ class TestFormatReals:
         assert Fraction(edge) >= power > Fraction(below)
         assert power - Fraction(below) > Fraction(1, 10 ** (17 + j)) / 2
 
-    @pytest.mark.parametrize("j", [-6, -5, *range(18)])
+    @pytest.mark.parametrize("j", [-6, -5, 0, 1])
     def test_widened_edge_literals_are_exact_decades(self, j):
-        # The kernel's edge for 10**j, the edges it took on beyond [1e-4, 1)
-        # included, is the smallest double >= 10**j: for 10**-6 the double
-        # above 1e-6, which lies below 10**-6.  The double below it is more
+        # The kernel's edges beyond [1e-4, 1), 10**j for j in -6, -5, 0 and 1,
+        # are each the smallest double >= 10**j: for 10**-6 the double above
+        # 1e-6, which lies below 10**-6.  The double below it is more
         # than half a 17th digit below 10**j, so no value rounds up into the
         # next decade.
         edge = float(sweep._EDGES.view(np.float64)[j + 8])
@@ -199,9 +199,10 @@ class TestFormatReals:
         assert power - Fraction(below) > Fraction(10) ** (j - 17) / 2
 
     def test_widened_decade_edges(self):
-        # The kernel's decades beyond [1e-4, 1) begin at 1e-6, 1e-5 and 1 to
-        # 1e15 (test_notation_boundaries covers 1e16 and 1e17): 300 neighbours
-        # each side of each, and the 18-digit decimals just below each power
+        # The kernel's decades beyond [1e-4, 1) begin at 1e-6, 1e-5 and 1, and
+        # it stops at 10; from 10 to 1e15 these values check _dtoa_texts
+        # (test_notation_boundaries covers 1e16 and 1e17): 300 neighbours each
+        # side of each power, and the 18-digit decimals just below each power
         # that a 17-digit rounding would carry into it.
         values = []
         for j in (-6, -5, *range(16)):
@@ -217,11 +218,12 @@ class TestFormatReals:
 
     def test_only_values_outside_the_kernel_reach_dtoa(self, monkeypatch):
         # A grid block's 1,500 probabilities: the kernel writes +0.0 and
-        # [1e-6, 1e17), and only the rest (p below 1e-6, -0.0, nan) go to
-        # %#.17g.  The double 1e-6 lies below 10**-6, so the class is > 1e-6.
+        # [1e-6, 10), and only the rest (below 1e-6, -0.0, nan, 10 and up) go
+        # to %#.17g.  The double 1e-6 lies below 10**-6, so the class is
+        # > 1e-6.
         s = sweep._Sweep(sweep._absorption_grid(5), sweep._cycle_counts(100), "coherent", None)
         values = s.p.transpose(1, 2, 0).ravel().tolist()
-        values[:3] = [-0.0, 5e-5, math.nan]
+        values[:6] = [-0.0, 5e-5, math.nan, 9.75, 12.5, 9999999999999998.0]
         assert len(values) == 1500
         dtoa, passed = sweep._dtoa_texts, []
 
@@ -231,7 +233,7 @@ class TestFormatReals:
 
         monkeypatch.setattr(sweep, "_dtoa_texts", recorded)
         texts = sweep._format_reals(values)
-        kernel = [1e-6 < v < 1e17 or (v == 0.0 and math.copysign(1, v) > 0) for v in values]
+        kernel = [1e-6 < v < 10 or (v == 0.0 and math.copysign(1, v) > 0) for v in values]
         rest = [v for v, k in zip(values, kernel) if not k]
         assert 3 < len(rest) < 150
         assert passed == [rest]  # the same nan object, so equal in a list
