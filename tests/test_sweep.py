@@ -185,18 +185,36 @@ class TestFormatReals:
         assert Fraction(edge) >= power > Fraction(below)
         assert power - Fraction(below) > Fraction(1, 10 ** (17 + j)) / 2
 
-    @pytest.mark.parametrize("j", [-6, -5, 0, 1])
-    def test_widened_edge_literals_are_exact_decades(self, j):
-        # The kernel's edges beyond [1e-4, 1), 10**j for j in -6, -5, 0 and 1,
-        # are each the smallest double >= 10**j: for 10**-6 the double above
-        # 1e-6, which lies below 10**-6.  The double below it is more
-        # than half a 17th digit below 10**j, so no value rounds up into the
-        # next decade.
-        edge = float(sweep._EDGES.view(np.float64)[j + 8])
-        below = math.nextafter(edge, 0.0)
+    @pytest.mark.parametrize("j", [-6, -5, *range(18)])
+    def test_widened_edge_literals_are_exact_decades(self, j, monkeypatch):
+        # Each decade edge beyond [1e-4, 1), 10**j, is taken at the smallest
+        # double >= 10**j: for 10**-6 the double above 1e-6, which lies below
+        # 10**-6.  The double below it is more than half a 17th digit below
+        # 10**j, so no value rounds up into the next decade: the kernel's
+        # classes (its edge literals are these doubles, for j up to 1) and
+        # %#.17g's decade and notation in _dtoa_texts (for 10 and up) are
+        # those of the unrounded value.  The kernel writes both sides of
+        # each edge up to 1 and the side below 10; every other value, both
+        # sides of each edge from 1e2 to 1e17 included, goes to _dtoa_texts.
+        edge = float(f"1e{j}")
         power = Fraction(10) ** j
+        if Fraction(edge) < power:
+            edge = math.nextafter(edge, math.inf)
+        if j <= 1:
+            assert sweep._EDGES.view(np.float64)[j + 8] == edge
+        below = math.nextafter(edge, 0.0)
         assert Fraction(edge) >= power > Fraction(below)
         assert power - Fraction(below) > Fraction(10) ** (j - 17) / 2
+        dtoa, passed = sweep._dtoa_texts, []
+
+        def recorded(vs):
+            passed.extend(vs)
+            return dtoa(vs)
+
+        monkeypatch.setattr(sweep, "_dtoa_texts", recorded)
+        values = [below, edge] * (sweep._KERNEL_MIN // 2)
+        assert sweep._format_reals(values) == [_dragon4(v) for v in values]
+        assert passed == [v for v in values if not 1e-6 < v < 10]
 
     def test_widened_decade_edges(self):
         # The kernel's decades beyond [1e-4, 1) begin at 1e-6, 1e-5 and 1, and
