@@ -35,9 +35,12 @@ stream position (key and draw counter in one word, key + (j+1)*PHI for its
 next draw j) and its table index k.
 estimate() streams trajectory indices through the kernels in fixed-size
 chunks and sums their counts, so memory stays bounded however many
-trajectories are asked for.  Each chunk's index array becomes its keys in
-place, and the collapse kernel advances those keys in place as its stream
-positions, so a chunk holds no spare copy of either.
+trajectories are asked for.  A chunk is 2**15 trajectories, so that a
+collapse chunk's live arrays (positions, two uint64 scratch arrays, a
+byte-wide table index at the usual cycle counts, masks) come to about 1 MB
+and fit one core's L2 cache; twice that did not.  Each chunk's index array
+becomes its keys in place, and the collapse kernel advances those keys in
+place as its stream positions, so a chunk holds no spare copy of either.
 
 The same streams serve as the package's only seeded sampler: _Stream(seed)
 hands out trajectory 0's draws of `seed` as uniforms, and the `verify`
@@ -67,7 +70,10 @@ __all__ = [
 
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 _U64_MAX = 2**64 - 1
-_CHUNK = 1 << 16  # trajectories per kernel call; results do not depend on it
+# Trajectories per kernel call; results do not depend on it.  2**15 fits a
+# collapse chunk in L2 (module docstring) and still runs each of verify's
+# 20,000-trajectory cells as one chunk.
+_CHUNK = 1 << 15
 
 
 def _mix64(
@@ -279,8 +285,10 @@ def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _Table):
     m = keys.shape[0]
     pos = keys
     pos += _PHI
-    # k <= n, and a table of 2**31 entries is far beyond any run, so int32 holds it
-    k = np.zeros(m, dtype=np.int32)
+    # k <= n, so the smallest unsigned type that holds n holds k: one byte a
+    # trajectory up to n = 255, a quarter of int32's traffic
+    k = np.zeros(m, dtype=np.min_scalar_type(n))
+    one = k.dtype.type(1)
     # the first draw of every cycle goes into first and its test into mask
     first, tmp = np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64)
     mask = np.empty(m, dtype=bool)
@@ -294,7 +302,7 @@ def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _Table):
     # the k it ends with.
     k_max = 0
     for _ in range(n):
-        k += 1
+        k += one
         size = pos.shape[0]
         if cut_a:  # no draw is < 0: at a = 0 nothing measures
             draw = _draw53(pos, out=first[:size], scratch=tmp[:size])

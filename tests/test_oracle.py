@@ -228,11 +228,11 @@ class TestChunking:
         assert large <= 1.1 * small
         assert max(small, large) < 16 * 2**20
 
-    # Measured peaks at this shape: 3.24 MiB collapse and 1.63 MiB coherent,
-    # whatever the seed.  Each bound leaves ~8-10% for allocator and numpy
-    # differences and stays below the 4.46 and 2.13 MiB that the kernels
-    # took while each chunk kept a spare copy of its indices or positions.
-    @pytest.mark.parametrize("model,bound_mib", [("collapse", 3.5), ("coherent", 1.8)])
+    # Measured peaks at this shape: 1.49 MiB collapse and 0.82 MiB coherent,
+    # whatever the seed.  Each bound leaves ~10% for allocator and numpy
+    # differences and stays below the 3.24 and 1.63 MiB that the kernels
+    # took in chunks of 2**16 trajectories with an int32 cycle counter.
+    @pytest.mark.parametrize("model,bound_mib", [("collapse", 1.65), ("coherent", 0.9)])
     def test_kernel_footprint_at_the_benchmark_shape(self, model, bound_mib):
         tc = TrajectoryConfig(cycle=_cfg(model, 0.5, 50), trajectories=100_000)
         tracemalloc.start()

@@ -93,6 +93,13 @@ def _collapse_outcome(draws, n, theta, a):
 @hypothesis.example(
     model=ParticleModel.COLLAPSE, a=1.0, theta=0.3, n=12, trajectories=2000, seed=12
 )
+# a survivor's cycle counter at the top of one byte (n = 255), and one past it
+@hypothesis.example(
+    model=ParticleModel.COLLAPSE, a=1e-6, theta=None, n=255, trajectories=300, seed=13
+)
+@hypothesis.example(
+    model=ParticleModel.COLLAPSE, a=1e-6, theta=None, n=256, trajectories=300, seed=14
+)
 def test_estimate_replays_the_documented_draw_order(model, a, theta, n, trajectories, seed):
     cycle = CycleConfig(model=model, a=a, n=n, theta=theta)
     outcome = _collapse_outcome if model is ParticleModel.COLLAPSE else _coherent_outcome
