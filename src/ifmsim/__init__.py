@@ -8,95 +8,19 @@ closed forms, cross-checks everything against a Monte Carlo trajectory
 oracle, and exposes CSV parameter sweeps through a CLI.
 """
 
-from .evolution import (
-    CycleConfig,
-    ParticleModel,
-    Probabilities,
-    closed_form_no_particle,
-    closed_form_perfect_absorber,
-    evolve,
-    initial_state,
-    kraus_operators,
-    probabilities,
-    step_coherent,
-    step_collapse,
-)
-from .operators import (
-    NOT_B,
-    Basis,
-    EigenDecomposition,
-    absorption,
-    projector,
-    rotator2,
-    rotator3,
-    rotator_eigen,
-    rotator_power,
-    switching_angle,
-)
-from .oracle import (
-    OutcomeEstimate,
-    TrajectoryConfig,
-    compare,
-    estimate,
-    sample_trajectory,
-    trajectory_key,
-    trajectory_keys,
-)
-from .sweep import (
-    CSV_HEADER,
-    SweepRecord,
-    format_real,
-    run_single,
-    sweep_absorption,
-    sweep_cycles,
-    sweep_grid,
-    to_csv,
-    write_csv,
-)
-from .verify import CheckResult, render_report, run_checks
+from . import evolution, operators, oracle, sweep, verify
+from .evolution import *
+from .operators import *
+from .oracle import *
+from .sweep import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Basis",
-    "CSV_HEADER",
-    "CheckResult",
-    "CycleConfig",
-    "EigenDecomposition",
-    "NOT_B",
-    "OutcomeEstimate",
-    "ParticleModel",
-    "Probabilities",
-    "SweepRecord",
-    "TrajectoryConfig",
-    "absorption",
-    "closed_form_no_particle",
-    "closed_form_perfect_absorber",
-    "compare",
-    "estimate",
-    "evolve",
-    "format_real",
-    "initial_state",
-    "kraus_operators",
-    "probabilities",
-    "projector",
-    "render_report",
-    "rotator2",
-    "rotator3",
-    "rotator_eigen",
-    "rotator_power",
-    "run_checks",
-    "run_single",
-    "sample_trajectory",
-    "step_coherent",
-    "step_collapse",
-    "sweep_absorption",
-    "sweep_cycles",
-    "sweep_grid",
-    "switching_angle",
-    "to_csv",
-    "trajectory_key",
-    "trajectory_keys",
-    "write_csv",
-    "__version__",
-]
+# one += per module, the form type checkers read for a star-exported __all__
+__all__ = ["__version__"]
+__all__ += evolution.__all__
+__all__ += operators.__all__
+__all__ += oracle.__all__
+__all__ += sweep.__all__
+__all__ += verify.__all__

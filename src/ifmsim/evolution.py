@@ -177,7 +177,7 @@ class CycleConfig:
         n = operators._check_count(n, 1, "cycle count n must be a positive integer")
         a = operators._check_probability(a)
         if theta is not None:
-            theta = float(theta)
+            theta = operators._as_float(theta)
             if not math.isfinite(theta):
                 raise ValueError("theta must be finite")
         _setattr(self, "model", m)

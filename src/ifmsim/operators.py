@@ -67,23 +67,35 @@ NOT_B = "not_b"
 _MAX_COUNT = sys.float_info.max
 
 
+def _as_float(x) -> float:
+    """``float(x)``, but an int beyond the float range as the infinity of its sign."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _check_angle(theta) -> np.ndarray:
     """`theta` as a float array, 0-d for a scalar; ValueError unless every element is finite.
 
-    numpy converts None to NaN, so an element that is not a number raises
-    ``float``'s TypeError for it instead, naming its type.
+    An int beyond the float range is not finite either.  numpy converts
+    None to NaN, so an element that is not a number raises ``float``'s
+    TypeError for it instead, naming its type.
     """
-    t = np.asarray(theta, dtype=float)
+    try:
+        t = np.asarray(theta, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        t = np.asarray(np.inf)
     if not np.isfinite(t).all():
         for x in np.asarray(theta, dtype=object).flat:
-            float(x)
+            _as_float(x)
         raise ValueError("angle must be finite")
     return t
 
 
 def _check_probability(a) -> float:
-    """`a` as a float in [0, 1]; ValueError otherwise, inf and NaN included."""
-    av = float(a)
+    """`a` as a float in [0, 1]; ValueError otherwise, inf, NaN and huge ints included."""
+    av = _as_float(a)
     if not 0.0 <= av <= 1.0:
         raise ValueError(f"absorption probability must be in [0, 1], got {a!r}")
     return av
@@ -94,8 +106,15 @@ def _check_probabilities(a) -> np.ndarray:
 
     The first element outside [0, 1], inf and NaN included, raises
     `_check_probability`'s ValueError for that element as a Python float.
+    An int beyond the float range fails the conversion, and then the first
+    element outside raises that ValueError for the element as given.
     """
-    av = np.asarray(a, dtype=float)
+    try:
+        av = np.asarray(a, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        for x in np.asarray(a, dtype=object).flat:
+            _check_probability(x)
+        raise
     outside = ~((av >= 0.0) & (av <= 1.0))
     if outside.any():
         _check_probability(a if av.ndim == 0 else av[outside][0].item())

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import math
 import os
@@ -11,15 +12,24 @@ import numpy as np
 import pytest
 
 import ifmsim
+from ifmsim import evolution, operators, oracle, sweep, verify
 from ifmsim.evolution import (
     CycleConfig,
     closed_form_no_particle,
     closed_form_perfect_absorber,
     initial_state,
     kraus_operators,
+    step_coherent,
     step_collapse,
 )
-from ifmsim.operators import absorption, rotator_power, switching_angle
+from ifmsim.operators import (
+    absorption,
+    rotator2,
+    rotator3,
+    rotator_eigen,
+    rotator_power,
+    switching_angle,
+)
 from ifmsim.oracle import TrajectoryConfig, trajectory_keys
 from ifmsim.sweep import sweep_absorption, sweep_cycles, sweep_grid
 
@@ -29,11 +39,14 @@ PUBLIC_NAMES = [
     "CheckResult",
     "CycleConfig",
     "EigenDecomposition",
+    "HERMITICITY_TOL",
     "NOT_B",
     "OutcomeEstimate",
+    "PSD_TOL",
     "ParticleModel",
     "Probabilities",
     "SweepRecord",
+    "TRACE_TOL",
     "TrajectoryConfig",
     "__version__",
     "absorption",
@@ -71,6 +84,23 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert sorted(ifmsim.__all__) == PUBLIC_NAMES
     assert all(hasattr(ifmsim, name) for name in PUBLIC_NAMES)
+
+
+# the modules whose __all__ the package star-imports and exports
+EXPORTING_MODULES = (evolution, operators, oracle, sweep, verify)
+
+
+def test_exporting_modules_declare_disjoint_names():
+    # a name in two lists would be shadowed, silently, by the later star import
+    for first, second in itertools.combinations(EXPORTING_MODULES, 2):
+        assert set(first.__all__).isdisjoint(second.__all__), (first.__name__, second.__name__)
+
+
+def test_every_public_name_is_its_declaring_modules_object():
+    declared = {name: m for m in EXPORTING_MODULES for name in m.__all__}
+    assert sorted(ifmsim.__all__) == sorted([*declared, "__version__"])
+    for name in declared:
+        assert getattr(ifmsim, name) is getattr(declared[name], name), name
 
 
 _CYCLE = CycleConfig(model="coherent", a=0.5, n=3)
@@ -171,13 +201,49 @@ PROBABILITY_SITES = {
 
 
 @pytest.mark.parametrize(
-    "value", [-0.01, 1.01, math.nan, math.inf], ids=["-0.01", "1.01", "nan", "inf"]
+    "value",
+    [-0.01, 1.01, math.nan, math.inf, 10**400],
+    ids=["-0.01", "1.01", "nan", "inf", "10**400"],
 )
 @pytest.mark.parametrize("site", sorted(PROBABILITY_SITES))
 def test_out_of_range_probability_raises_value_error(site, value):
     message = f"absorption probability must be in [0, 1], got {value!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         PROBABILITY_SITES[site](value)
+
+
+# (entry point taking an angle, the message it reports for one that is not finite)
+ANGLE_SITES = {
+    "CycleConfig.theta": (
+        lambda v: CycleConfig(model="coherent", a=0.5, n=3, theta=v),
+        "theta must be finite",
+    ),
+    "rotator2": (rotator2, "angle must be finite"),
+    "rotator3": (rotator3, "angle must be finite"),
+    "rotator_eigen": (rotator_eigen, "angle must be finite"),
+    "rotator_power.theta": (lambda v: rotator_power(v, 3), "angle must be finite"),
+    "closed_form_no_particle.theta": (
+        lambda v: closed_form_no_particle(v, 3),
+        "angle must be finite",
+    ),
+    "closed_form_perfect_absorber.theta": (
+        lambda v: closed_form_perfect_absorber(v, 3),
+        "angle must be finite",
+    ),
+    "step_coherent.theta": (
+        lambda v: step_coherent(initial_state(), v, 0.5),
+        "angle must be finite",
+    ),
+    "sweep_cycles.theta": (lambda v: sweep_cycles(0.5, 3, "coherent", v), "theta must be finite"),
+}
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+@pytest.mark.parametrize("site", sorted(ANGLE_SITES))
+def test_angle_beyond_the_float_range_raises_value_error(site, value):
+    call, message = ANGLE_SITES[site]
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call(value)
 
 
 def test_every_private_top_level_name_has_a_caller():

@@ -49,9 +49,15 @@ class TestRotator2:
         [
             lambda: rotator2(None),
             lambda: rotator2([0.1, None]),
+            lambda: rotator2([10**400, None]),
             lambda: closed_form_no_particle(None, 3),
         ],
-        ids=["rotator2", "rotator2-element", "closed_form_no_particle"],
+        ids=[
+            "rotator2",
+            "rotator2-element",
+            "rotator2-beside-a-huge-int",
+            "closed_form_no_particle",
+        ],
     )
     def test_a_non_number_angle_raises_a_type_error_naming_its_type(self, call):
         with pytest.raises(TypeError, match="not 'NoneType'$"):
