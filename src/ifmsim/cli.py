@@ -32,40 +32,43 @@ import argparse
 import contextlib
 import copy
 import functools
-import math
 import os
 import sys
 
 from . import verify as verify_mod
 from .evolution import CycleConfig, ParticleModel, evolve
+from .operators import _angle, _count, _probability
 from .oracle import _Z_LIMIT, TrajectoryConfig, compare, estimate
 from .sweep import _absorption_grid, _cycle_counts, _Sweep, format_real, run_single, to_csv
 
 __all__ = ["main"]
 
 
-def _absorption_arg(text: str) -> float:
+def _arg(text: str, read, unreadable: str, convert, *args):
+    """``convert(read(text), *args)``, as argparse's usage error if either fails.
+
+    Text that `read` cannot read is reported as `unreadable`, and a value
+    the converter rejects with its ValueError's message.
+    """
     try:
-        v = float(text)
+        v = read(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 <= v <= 1.0:
-        raise argparse.ArgumentTypeError(f"absorption must be in [0, 1], got {text}")
-    return v
+        raise argparse.ArgumentTypeError(unreadable) from None
+    try:
+        return convert(v, *args)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _absorption_arg(text: str) -> float:
+    return _arg(text, float, f"not a number: {text!r}", _probability)
 
 
 def _theta_arg(text: str):
     if text == "auto":
         return None
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"theta must be 'auto' or radians, got {text!r}"
-        ) from None
-    if not math.isfinite(v):
-        raise argparse.ArgumentTypeError("theta must be finite")
-    return v
+    unreadable = f"theta must be 'auto' or radians, got {text!r}"
+    return _arg(text, float, unreadable, _angle, "theta must be finite")
 
 
 def _int_arg(lo: int, hi: int | None = None, what: str | None = None):
@@ -74,15 +77,11 @@ def _int_arg(lo: int, hi: int | None = None, what: str | None = None):
     An out-of-range value is reported as `what`, or as "must be >= lo, got
     TEXT" when `what` is None.
     """
+    top = None if hi is None else hi - 1
 
     def parse(text: str) -> int:
-        try:
-            v = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if v < lo or (hi is not None and v >= hi):
-            raise argparse.ArgumentTypeError(what or f"must be >= {lo}, got {text}")
-        return v
+        below = what or f"must be >= {lo}, got {text}"
+        return _arg(text, int, f"not an integer: {text!r}", _count, lo, below, top, what)
 
     return parse
 

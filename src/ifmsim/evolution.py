@@ -174,12 +174,10 @@ class CycleConfig:
             m = None
         if m is None:
             m = ParticleModel(model)
-        n = operators._check_count(n, 1, "cycle count n must be a positive integer")
-        a = operators._check_probability(a)
+        n = operators._count(n, 1, "cycle count n must be a positive integer")
+        a = operators._probability(a)
         if theta is not None:
-            theta = operators._as_float(theta)
-            if not math.isfinite(theta):
-                raise ValueError("theta must be finite")
+            theta = operators._angle(theta, "theta must be finite")
         _setattr(self, "model", m)
         _setattr(self, "a", 0.0 if m is ParticleModel.ABSENT else a)
         _setattr(self, "n", n)
@@ -258,7 +256,7 @@ def step_collapse(rho, theta, a) -> np.ndarray:
         If rho violates the density-matrix invariants or a is outside [0, 1].
     """
     m = _require_density_matrix(rho)
-    av = operators._check_probabilities(a)
+    av = np.asarray(operators._probability(a, array=True))
     u_nb = operators.rotator3(theta) @ operators.projector(operators.NOT_B)
     # Kraus set {M_B, sqrt(1-a) U_nb, sqrt(a) M_H U_nb, sqrt(a) S U_nb} by
     # entries; the last three act on rho_u = U_nb rho U_nb^+ in the {H, V} block
@@ -406,8 +404,8 @@ def closed_form_no_particle(theta: float, n: int) -> Probabilities:
     21.  ValueError if theta is not finite or n*theta is beyond the float
     range.
     """
-    n = operators._check_float_count(n, 0, "n must be a non-negative integer")
-    angle = float(operators._check_angle(theta)) * n
+    n = operators._count(n, 0, "n must be a non-negative integer", operators._MAX_COUNT)
+    angle = operators._angle(theta) * n
     if not math.isfinite(angle):
         raise ValueError(
             "accumulated angle n*theta must be no larger in magnitude than "
@@ -425,10 +423,10 @@ def closed_form_perfect_absorber(theta: float, n: int) -> Probabilities:
     (cos^{2n}(theta), 0, 1 - cos^{2n}(theta)).  ValueError if theta is not
     finite.
     """
-    n = operators._check_float_count(n, 0, "n must be a non-negative integer")
+    n = operators._count(n, 0, "n must be a non-negative integer", operators._MAX_COUNT)
     # 2.0 * n rounds as 2 * n does; near the count limit it is inf rather
     # than an OverflowError, and cos**inf is the power's limit
-    p_h = math.cos(operators._check_angle(theta)) ** (2.0 * n)
+    p_h = math.cos(operators._angle(theta)) ** (2.0 * n)
     return Probabilities(p_h, 0.0, 1.0 - p_h)
 
 
@@ -443,7 +441,8 @@ def kraus_operators(model: ParticleModel, theta, a) -> list[np.ndarray]:
     code.  Every returned array is fresh and writable.
     """
     model = ParticleModel(model)
-    av = operators._check_probabilities(a)  # checked for every model, as CycleConfig does
+    # checked for every model, as CycleConfig does
+    av = np.asarray(operators._probability(a, array=True))
     a_eff = np.zeros_like(av) if model is ParticleModel.ABSENT else av
     m_b = np.zeros(np.broadcast_shapes(np.shape(theta), av.shape) + (3, 3), dtype=complex)
     m_b[..., operators.Basis.B, operators.Basis.B] = 1.0

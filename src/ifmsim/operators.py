@@ -25,10 +25,36 @@ the matrix of that element's scalar call.  A scalar argument gives one
 the same way: its values are a ``(..., 2)`` and its vectors a
 ``(..., 2, 2)`` stack.  ``switching_angle`` takes an array of counts and
 returns an array of angles, each bit for bit its scalar call's float.
+
+Each of the model's inputs has one converter, used wherever it enters the
+package:
+
+* ``_probability`` -- an absorption probability converts as ``float()``
+  reads it, numeric strings included.  What ``float()`` cannot read raises
+  that call's TypeError or ValueError; a value outside [0, 1], NaN, inf and
+  an int beyond the float range among them, raises ValueError naming it.
+* ``_angle`` -- an angle converts the same way.  A value that is not
+  finite raises ValueError with the site's message.
+* ``_count`` -- a count is an int, or a value equal to one.  No count
+  raises TypeError.  Anything else, a string, None, NaN and inf among
+  them, and a count below the site's least raise ValueError with the
+  site's message; a count above the site's limit raises ValueError with
+  that limit's message.  The limits: the largest float for a count in
+  float arithmetic, ``sys.maxsize`` for a sweep's rows along one axis, and
+  2^64 - 1 for a seed, a trajectory index or a key.
+
+A message shows a value as its repr, or as "an int of N digits" past
+4,300 digits, whatever limit the interpreter sets on writing an int as
+text.  A Python int or float converts without numpy.  With ``array=True``
+an array converts in one vectorized pass; when that fails, its elements go
+through the scalar converter as objects, so an element fails in a list as
+it fails alone: the first that is not a number raises its TypeError, and
+otherwise the first that fails raises its ValueError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import sys
@@ -67,100 +93,103 @@ NOT_B = "not_b"
 _MAX_COUNT = sys.float_info.max
 
 
-def _as_float(x) -> float:
-    """``float(x)``, but an int beyond the float range as the infinity of its sign."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
+def _text(x) -> str:
+    """`x` as a message shows it: its repr, or "an int of N digits" past 4,300 digits."""
+    if type(x) is not int:
+        return repr(x)
+    # the digits of 2**(bit_length - 1), plus one if x reaches the next power of ten
+    digits = int((x.bit_length() - 1) * math.log10(2)) + 1
+    digits += abs(x) >= 10**digits
+    if digits > 4300:  # Python's default limit on the digits of an int written as text
+        return f"an int of {digits} digits"
+    # Decimal writes an int whatever limit the interpreter sets; only a message needs it
+    import decimal
+
+    return str(decimal.Decimal(x))
 
 
-def _check_angle(theta) -> np.ndarray:
-    """`theta` as a float array, 0-d for a scalar; ValueError unless every element is finite.
+def _elements(x, kinds: str, valid, scalar, *args) -> np.ndarray:
+    """`x` as a float array, shaped as it is, each element as ``scalar(element, *args)`` returns it.
 
-    An int beyond the float range is not finite either.  numpy converts
-    None to NaN, so an element that is not a number raises ``float``'s
-    TypeError for it instead, naming its type.
+    One vectorized pass suffices when x's dtype kind is one of `kinds` and
+    `valid` holds for every converted element.  Otherwise each element
+    goes through `scalar` as the object it is: the first that raises a
+    TypeError raises it, else the first that raises a ValueError does.
     """
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        raw = np.asarray(x)
+        if raw.dtype.kind in kinds:
+            v = raw.astype(float)
+            if valid(v).all():
+                return v
+    objects = np.asarray(x, dtype=object)
+    values, error = [], None
+    for element in objects.flat:
+        try:
+            values.append(scalar(element, *args))
+        except ValueError as e:
+            error = error or e
+    if error is not None:
+        raise error
+    return np.array(values, dtype=float).reshape(objects.shape)
+
+
+def _angle(theta, message: str = "angle must be finite", array: bool = False):
+    """`theta` as a float, finite; ValueError(message) otherwise, an int beyond the float range too.
+
+    With `array`, a `theta` of one or more dimensions gives a float array
+    (see `_elements`).
+    """
+    if array and not isinstance(theta, (int, float)) and np.ndim(theta):
+        return _elements(theta, "biufOSU", np.isfinite, _angle, message)
     try:
-        t = np.asarray(theta, dtype=float)
+        t = float(theta)
     except OverflowError:  # an int beyond the float range
-        t = np.asarray(np.inf)
-    if not np.isfinite(t).all():
-        for x in np.asarray(theta, dtype=object).flat:
-            _as_float(x)
-        raise ValueError("angle must be finite")
+        raise ValueError(message) from None
+    if not math.isfinite(t):
+        raise ValueError(message)
     return t
 
 
-def _check_probability(a) -> float:
-    """`a` as a float in [0, 1]; ValueError otherwise, inf, NaN and huge ints included."""
-    av = _as_float(a)
-    if not 0.0 <= av <= 1.0:
-        raise ValueError(f"absorption probability must be in [0, 1], got {a!r}")
-    return av
+def _probability(a, array: bool = False):
+    """`a` as a float in [0, 1]; ValueError otherwise, inf, NaN and huge ints included.
 
-
-def _check_probabilities(a) -> np.ndarray:
-    """`a` as a float array, 0-d for a scalar, with every element in [0, 1].
-
-    The first element outside [0, 1], inf and NaN included, raises
-    `_check_probability`'s ValueError for that element as a Python float.
-    An int beyond the float range fails the conversion, and then the first
-    element outside raises that ValueError for the element as given.
+    With `array`, an `a` of one or more dimensions gives a float array
+    (see `_elements`).
     """
+    if array and not isinstance(a, (int, float)) and np.ndim(a):
+        return _elements(a, "biufOSU", lambda v: (v >= 0.0) & (v <= 1.0), _probability)
     try:
-        av = np.asarray(a, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        for x in np.asarray(a, dtype=object).flat:
-            _check_probability(x)
-        raise
-    outside = ~((av >= 0.0) & (av <= 1.0))
-    if outside.any():
-        _check_probability(a if av.ndim == 0 else av[outside][0].item())
-    return av
+        v = float(a)
+    except OverflowError:  # an int beyond the float range is outside [0, 1]
+        v = math.inf
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"absorption probability must be in [0, 1], got {_text(a)}")
+    return v
 
 
-def _check_count(value, lo: int, message: str) -> int:
-    """`value` as an int >= lo; ValueError(message) otherwise, inf and NaN included."""
+def _count(n, lo: int, message: str, limit=None, limit_message=None, array: bool = False):
+    """`n` as an int in [lo, limit]; ValueError(message) below lo or not an integer.
+
+    A string, inf and NaN are not integers.  Above `limit` the ValueError
+    says `limit_message`, by default "`message` no larger than `limit`".
+    With `array`, an `n` of one or more dimensions gives a float array of
+    its counts (see `_elements`); it must hold numbers, not strings.
+    """
+    if array and not isinstance(n, (int, float)) and np.ndim(n):
+        top = math.inf if limit is None else limit  # a float equal to it is walked as an int
+        # bound as defaults: a closure's cells would slow every scalar call
+        integral = lambda v, lo=lo, top=top: (v >= lo) & (v < top) & (v == np.floor(v))
+        return _elements(n, "biuf", integral, _count, lo, message, limit, limit_message)
     try:
-        v = int(value)
+        v = int(n)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(message) from None
-    if v != value or v < lo:
+    if v != n or v < lo:
         raise ValueError(message)
+    if limit is not None and v > limit:
+        raise ValueError(limit_message or f"{message} no larger than {limit!r}")
     return v
-
-
-def _check_float_count(value, lo: int, message: str) -> int:
-    """`_check_count`, and at most `_MAX_COUNT`, for a count used in float arithmetic."""
-    v = _check_count(value, lo, message)
-    if v > _MAX_COUNT:
-        raise ValueError(f"{message} no larger than {_MAX_COUNT!r}")
-    return v
-
-
-def _check_counts(n, lo: int, message: str) -> np.ndarray | float:
-    """`n` as a float array, or a float for a scalar, of integers in [lo, `_MAX_COUNT`].
-
-    A scalar goes through `_check_float_count`; an array raises
-    ValueError(message) if any element is not such an integer, and
-    `_check_float_count`'s ValueError for an int too large to convert.
-    """
-    # a Python number skips np.ndim, which would convert it to an array
-    if isinstance(n, (int, float)) or np.ndim(n) == 0:
-        return float(_check_float_count(n, lo, message))
-    try:
-        nv = np.asarray(n, dtype=float)
-    except OverflowError:  # an int that rounds to 2**1024 or more
-        raise ValueError(f"{message} no larger than {_MAX_COUNT!r}") from None
-    if not (np.isfinite(nv) & (nv >= lo) & (nv == np.floor(nv))).all():
-        raise ValueError(message)
-    top = nv == _MAX_COUNT
-    if top.any():  # an int up to 2**1024 - 2**970 rounds down to the largest float
-        for value in np.asarray(n, dtype=object)[top].tolist():
-            _check_float_count(value, lo, message)
-    return nv
 
 
 def _rotation(theta, dim: int) -> np.ndarray:
@@ -168,9 +197,9 @@ def _rotation(theta, dim: int) -> np.ndarray:
 
     One (dim, dim) matrix per element of `theta`, identity outside the plane.
     """
-    t = _check_angle(theta)
+    t = _angle(theta, array=True)
     c, s = np.cos(t), np.sin(t)
-    m = np.zeros(t.shape + (dim, dim), dtype=complex)
+    m = np.zeros(np.shape(t) + (dim, dim), dtype=complex)
     m[..., 0, 0] = m[..., 1, 1] = c
     m[..., 0, 1] = -s
     m[..., 1, 0] = s
@@ -204,10 +233,10 @@ def rotator_eigen(theta) -> EigenDecomposition:
     An array of angles gives one decomposition per element, stacked; both
     arrays are fresh and writable.
     """
-    t = _check_angle(theta)
+    t = _angle(theta, array=True)
     values = np.stack([np.exp(-1j * t), np.exp(1j * t)], axis=-1)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    vectors = np.empty(t.shape + (2, 2), dtype=complex)
+    vectors = np.empty(np.shape(t) + (2, 2), dtype=complex)
     vectors[...] = [[inv_sqrt2, inv_sqrt2], [1j * inv_sqrt2, -1j * inv_sqrt2]]
     return EigenDecomposition(values=values, vectors=vectors)
 
@@ -225,8 +254,8 @@ def rotator_power(theta, n) -> np.ndarray:
     exact reduction is ROADMAP item 21.  `theta` and `n` broadcast against
     each other; arrays give a (..., 2, 2) stack.
     """
-    nv = _check_counts(n, 0, "n must be a non-negative integer")
-    t = _check_angle(theta)
+    nv = _count(n, 0, "n must be a non-negative integer", _MAX_COUNT, array=True)
+    t = _angle(theta, array=True)
     # an n*theta beyond the float range is an angle rotator2 rejects as not finite
     with np.errstate(over="ignore", invalid="ignore"):
         phi = np.fmod(nv * t, 2.0 * math.pi)
@@ -254,9 +283,9 @@ def absorption(a) -> np.ndarray:
     measurement in the evolution step is what prevents that return path from
     ever acting.  An array of probabilities gives a (..., 3, 3) stack.
     """
-    av = _check_probabilities(a)
+    av = _probability(a, array=True)
     r, q = np.sqrt(1.0 - av), np.sqrt(av)
-    m = np.zeros(av.shape + (3, 3), dtype=complex)
+    m = np.zeros(np.shape(av) + (3, 3), dtype=complex)
     m[..., 0, 0] = 1.0
     m[..., 1, 1] = m[..., 2, 2] = r
     m[..., 1, 2] = -q
@@ -285,5 +314,6 @@ def switching_angle(n) -> float | np.ndarray:
     An array of counts gives an array of angles, each bit for bit its
     element's scalar call; a scalar count gives a float.
     """
+    n = _count(n, 1, "cycle count must be a positive integer", _MAX_COUNT, array=True)
     # (pi/2)/n rounds the same real number as pi/(2n), without overflowing 2n
-    return 0.5 * math.pi / _check_counts(n, 1, "cycle count must be a positive integer")
+    return 0.5 * math.pi / n

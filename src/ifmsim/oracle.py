@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import CycleConfig, ParticleModel, Probabilities
-from .operators import Basis, _check_count
+from .operators import Basis, _count
 
 __all__ = [
     "TrajectoryConfig",
@@ -70,6 +70,10 @@ __all__ = [
 
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 _U64_MAX = 2**64 - 1
+# the messages of the 64-bit unsigned inputs, below 0 or above _U64_MAX alike
+_SEED = "seed must be an integer in [0, 2^64)"
+_INDEX = "index must be an integer in [0, 2^64)"
+_KEY = "key must be an integer in [0, 2^64)"
 # Trajectories per kernel call; results do not depend on it.  2**15 fits a
 # collapse chunk in L2 (module docstring) and still runs each of verify's
 # 20,000-trajectory cells as one chunk.
@@ -96,14 +100,6 @@ def _mix64(
     return x
 
 
-def _check_u64(value: int, name: str) -> int:
-    message = f"{name} must be an integer in [0, 2^64)"
-    v = _check_count(value, 0, message)
-    if v > _U64_MAX:
-        raise ValueError(message)
-    return v
-
-
 def _keys_for(seed: int, indices: np.ndarray) -> np.ndarray:
     """The keys mix64(seed + (i+1)*PHI) of a uint64 array of indices i.
 
@@ -118,15 +114,15 @@ def _keys_for(seed: int, indices: np.ndarray) -> np.ndarray:
 
 def trajectory_keys(seed: int, count: int) -> np.ndarray:
     """Stream keys for trajectories 0..count-1 of `seed`, as a uint64 array."""
-    seed = _check_u64(seed, "seed")
-    count = _check_count(count, 1, "count must be >= 1")
+    seed = _count(seed, 0, _SEED, _U64_MAX, _SEED)
+    count = _count(count, 1, "count must be >= 1")
     return _keys_for(seed, np.arange(count, dtype=np.uint64))
 
 
 def trajectory_key(seed: int, index: int) -> int:
     """The stream key of one trajectory; estimate() uses exactly these."""
-    seed = _check_u64(seed, "seed")
-    index = _check_u64(index, "index")
+    seed = _count(seed, 0, _SEED, _U64_MAX, _SEED)
+    index = _count(index, 0, _INDEX, _U64_MAX, _INDEX)
     return int(_keys_for(seed, np.array([index], dtype=np.uint64))[0])
 
 
@@ -363,9 +359,9 @@ class TrajectoryConfig:
     seed: int = 0
 
     def __post_init__(self):
-        m = _check_count(self.trajectories, 1, "trajectories must be a positive integer")
+        m = _count(self.trajectories, 1, "trajectories must be a positive integer")
         object.__setattr__(self, "trajectories", m)
-        object.__setattr__(self, "seed", _check_u64(self.seed, "seed"))
+        object.__setattr__(self, "seed", _count(self.seed, 0, _SEED, _U64_MAX, _SEED))
 
 
 @dataclass(frozen=True)
@@ -388,7 +384,7 @@ class OutcomeEstimate:
 
 def sample_trajectory(cycle: CycleConfig, key: int) -> Basis:
     """Outcome of the single trajectory owning `key` (see trajectory_key)."""
-    keys = np.array([_check_u64(key, "key")], dtype=np.uint64)
+    keys = np.array([_count(key, 0, _KEY, _U64_MAX, _KEY)], dtype=np.uint64)
     counts, _ = _runner(cycle)(keys)
     return Basis(int(np.argmax(counts)))
 

@@ -72,7 +72,7 @@ from .evolution import (
     _evolve_one,
     _evolve_stack,
 )
-from .operators import _check_count
+from .operators import _count, _text
 
 __all__ = [
     "SweepRecord",
@@ -116,19 +116,19 @@ class SweepRecord:
         # Plain comparisons, each written so that NaN fails it.  With every p
         # at least 0, the sum check also caps each p at 1 + _SUM_TOL.
         if model not in _MODEL_VALUES:
-            raise ValueError(f"model must be one of {_MODEL_VALUES}, got {model!r}")
+            raise ValueError(f"model must be one of {_MODEL_VALUES}, got {_text(model)}")
         if not 0.0 <= a <= 1.0:
-            raise ValueError(f"a must be in [0, 1], got {a!r}")
+            raise ValueError(f"a must be in [0, 1], got {_text(a)}")
         if type(n) is not int or n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+            raise ValueError(f"n must be an integer >= 1, got {_text(n)}")
         if not -_MAX <= theta <= _MAX:  # an int beyond the float range too
-            raise ValueError(f"theta must be finite, got {theta!r}")
+            raise ValueError(f"theta must be finite, got {_text(theta)}")
         if not p_h >= 0.0:
-            raise ValueError(f"p_h must be >= 0, got {p_h!r}")
+            raise ValueError(f"p_h must be >= 0, got {_text(p_h)}")
         if not p_v >= 0.0:
-            raise ValueError(f"p_v must be >= 0, got {p_v!r}")
+            raise ValueError(f"p_v must be >= 0, got {_text(p_v)}")
         if not p_b >= 0.0:
-            raise ValueError(f"p_b must be >= 0, got {p_b!r}")
+            raise ValueError(f"p_b must be >= 0, got {_text(p_b)}")
         try:
             total = p_h + p_v + p_b
             off = abs(total - 1.0)
@@ -193,7 +193,7 @@ class _Sweep:
         self.n_values = n_values if len(n_values) > 1 else [first.n]
         # the first row checked the model, n and theta, so a later row can fail
         # only CycleConfig's check of `a`, after which absent sets a to 0
-        self.a_values = operators._check_probabilities(a_values)
+        self.a_values = operators._probability(a_values, array=True)
         if first.model is ParticleModel.ABSENT:
             self.a_values = np.zeros_like(self.a_values)
         k, g = len(a_values), len(n_values)
@@ -292,20 +292,16 @@ class _Sweep:
             yield template % fields
 
 
-def _sweep_count(value, lo: int, name: str) -> int:
-    """`_check_count` for a sweep's count of rows along one axis, at most sys.maxsize."""
-    v = _check_count(value, lo, f"{name} must be >= {lo}")
-    if v > sys.maxsize:  # len() of a longer range overflows
-        raise ValueError(f"{name} must be no larger than {sys.maxsize}")
-    return v
-
-
+# A sweep's count of rows along one axis is at most sys.maxsize: len() of a
+# longer range overflows.
 def _cycle_counts(n_max) -> range:
-    return range(1, _sweep_count(n_max, 1, "n_max") + 1)
+    limit = f"n_max must be no larger than {sys.maxsize}"
+    return range(1, _count(n_max, 1, "n_max must be >= 1", sys.maxsize, limit) + 1)
 
 
 def _absorption_grid(steps) -> np.ndarray:
-    steps = _sweep_count(steps, 2, "steps")
+    limit = f"steps must be no larger than {sys.maxsize}"
+    steps = _count(steps, 2, "steps must be >= 2", sys.maxsize, limit)
     grid = np.arange(steps) / (steps - 1)  # i / (steps - 1), each operand exact
     if len(grid) != steps:  # numpy's arange comes back empty near sys.maxsize
         raise ValueError(f"an absorption grid of {steps} steps cannot be allocated")

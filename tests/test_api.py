@@ -246,6 +246,132 @@ def test_angle_beyond_the_float_range_raises_value_error(site, value):
         call(value)
 
 
+# Inputs every site of the three tables above meets, alone and, where it
+# takes arrays, as the second element of a list.  An element fails in a list
+# as it fails alone.  Numeric strings are read as numbers by the angle and
+# probability sites, and are not counts.
+EDGE_INPUTS = {
+    "None": None,
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "10**400": 10**400,
+    "-10**400": -(10**400),
+    "10**5000": 10**5000,
+    "'x'": "x",
+    "'1'": "1",
+}
+NOT_A_NUMBER = (TypeError, "float() argument must be a string or a real number, not 'NoneType'")
+NOT_NUMERIC = (ValueError, "could not convert string to float: 'x'")
+FLOAT_LIMIT = "no larger than 1.7976931348623157e+308"
+
+# What each count site does with an int above every limit it has: its
+# (exception type, message), or None where it accepts the int
+HUGE_COUNT_OUTCOMES = {
+    "CycleConfig.n": None,
+    "TrajectoryConfig.trajectories": None,
+    # the count has no limit of its own, and numpy's arange refuses it
+    "trajectory_keys.count": (ValueError, "Maximum allowed size exceeded"),
+    **{site: (ValueError, f"{COUNT_SITES[site][1]} {FLOAT_LIMIT}") for site in FLOAT_COUNT_SITES},
+    # the switching angle of a CycleConfig that accepted the count
+    "sweep_absorption.n": (ValueError, f"cycle count must be a positive integer {FLOAT_LIMIT}"),
+    "sweep_cycles.n_max": (ValueError, f"n_max must be no larger than {sys.maxsize}"),
+    "sweep_grid.n_max": (ValueError, f"n_max must be no larger than {sys.maxsize}"),
+    "sweep_absorption.steps": (ValueError, f"steps must be no larger than {sys.maxsize}"),
+    "sweep_grid.steps": (ValueError, f"steps must be no larger than {sys.maxsize}"),
+}
+
+ARRAY_PROBABILITY_SITES = [
+    "absorption",
+    "step_collapse.a",
+    "kraus_operators.a",
+    "kraus_operators.absent.a",
+]
+ARRAY_ANGLE_SITES = [
+    "rotator2",
+    "rotator3",
+    "rotator_eigen",
+    "rotator_power.theta",
+    "step_coherent.theta",
+]
+
+
+def _edge_cases(sites, array_sites):
+    """(site, form, input id) for every input alone, and in a list where the site takes one."""
+    return [
+        (site, form, name)
+        for site in sorted(sites)
+        for form in (["alone", "in a list"] if site in array_sites else ["alone"])
+        for name in EDGE_INPUTS
+    ]
+
+
+def _assert_outcome(call, form, good, value, expected):
+    """`call` on value, or on [good, value], raises expected's (type, whole message), or returns."""
+    arg = value if form == "alone" else [good, value]
+    if expected is None:
+        call(arg)
+        return
+    kind, message = expected
+    with pytest.raises(kind, match="^" + re.escape(message) + "$"):
+        call(arg)
+
+
+@pytest.mark.parametrize("site,form,name", _edge_cases(COUNT_SITES, ARRAY_COUNT_SITES))
+def test_count_edge_inputs(site, form, name):
+    call, message = COUNT_SITES[site]
+    value = EDGE_INPUTS[name]
+    huge = isinstance(value, int) and value > 0
+    expected = HUGE_COUNT_OUTCOMES[site] if huge else (ValueError, message)
+    _assert_outcome(call, form, 3, value, expected)
+
+
+# kraus_operators.array.a is left out: numpy makes every element of its
+# array a str when one is, so '2.0' then fails in place of the input
+@pytest.mark.parametrize(
+    "site,form,name",
+    _edge_cases(set(PROBABILITY_SITES) - {"kraus_operators.array.a"}, ARRAY_PROBABILITY_SITES),
+)
+def test_probability_edge_inputs(site, form, name):
+    value = EDGE_INPUTS[name]
+    text = "an int of 5001 digits" if name == "10**5000" else repr(value)
+    expected = {
+        "None": NOT_A_NUMBER,
+        "'x'": NOT_NUMERIC,
+        "'1'": None,
+    }.get(name, (ValueError, f"absorption probability must be in [0, 1], got {text}"))
+    _assert_outcome(PROBABILITY_SITES[site], form, 0.5, value, expected)
+
+
+# where a theta of None is the switching angle, not an angle that is not a number
+AUTO_ANGLE_SITES = ["CycleConfig.theta", "sweep_cycles.theta"]
+
+
+@pytest.mark.parametrize("site,form,name", _edge_cases(ANGLE_SITES, ARRAY_ANGLE_SITES))
+def test_angle_edge_inputs(site, form, name):
+    call, message = ANGLE_SITES[site]
+    none = None if site in AUTO_ANGLE_SITES else NOT_A_NUMBER
+    expected = {"None": none, "'x'": NOT_NUMERIC, "'1'": None}.get(name, (ValueError, message))
+    _assert_outcome(call, form, 0.3, EDGE_INPUTS[name], expected)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} called on a scalar path")
+
+
+def test_scalar_conversion_touches_no_numpy(monkeypatch):
+    monkeypatch.setattr(operators, "np", _NoNumpy())
+    monkeypatch.setattr(evolution, "np", _NoNumpy())
+    for theta in (None, 0.3):
+        config = CycleConfig("coherent", 0.5, 24, theta)
+        assert (type(config.a), type(config.n)) == (float, int)
+        assert config.theta is None or type(config.theta) is float
+    assert type(switching_angle(24)) is float
+    for probabilities in (closed_form_no_particle(0.3, 24), closed_form_perfect_absorber(0.3, 24)):
+        assert [type(p) for p in probabilities] == [float] * 3
+
+
 def test_every_private_top_level_name_has_a_caller():
     # top-level names, and the methods of top-level classes as Class.method
     trees = {p.name: ast.parse(p.read_text()) for p in Path(ifmsim.__file__).parent.glob("*.py")}

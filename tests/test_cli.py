@@ -438,6 +438,23 @@ class TestUsageErrors:
             ),
             (["run", "--cycles", "3", "--theta", "inf"], "argument --theta: theta must be finite"),
             (["grid", "--theta", "nan"], "argument --theta: theta must be finite"),
+            (["sweep-cycles", "--theta", "1e400"], "argument --theta: theta must be finite"),
+            (
+                ["run", "--cycles", "3", "--theta", "x"],
+                "argument --theta: theta must be 'auto' or radians, got 'x'",
+            ),
+            (
+                ["run", "--cycles", "3", "--absorption", "1.5"],
+                "argument --absorption: absorption probability must be in [0, 1], got 1.5",
+            ),
+            (
+                ["sweep-cycles", "--absorption", "nan"],
+                "argument --absorption: absorption probability must be in [0, 1], got nan",
+            ),
+            (
+                ["run", "--cycles", "3", "--absorption", "1e400"],
+                "argument --absorption: absorption probability must be in [0, 1], got inf",
+            ),
         ],
     )
     def test_bad_real_option(self, capsys, argv, message):
@@ -460,6 +477,20 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "ifmsim: error: probabilities must sum to 1, got 1.5\n"
+
+
+# No hosted run of the workflow is seen, so a renamed flag in a hash check shows here.
+def test_workflow_jobs_and_hash_checks_parse():
+    yaml = pytest.importorskip("yaml")
+    path = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    jobs = yaml.safe_load(path.read_text())["jobs"]
+    assert {"test", "minimal"} <= set(jobs)
+    (step,) = [s for s in jobs["test"]["steps"] if s.get("name") == "Large sweeps keep their bytes"]
+    checks = [line.split() for line in step["run"].splitlines() if line.lstrip().startswith("check ")]
+    assert len(checks) == 5
+    for _, digest, *argv in checks:
+        assert len(digest) == 12 and int(digest, 16) >= 0
+        assert cli.build_parser().parse_args(argv).func
 
 
 class TestHugeSweepCounts:

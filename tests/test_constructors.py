@@ -17,7 +17,6 @@ import pickle
 import numpy as np
 import pytest
 
-from ifmsim import operators
 from ifmsim.evolution import CycleConfig, ParticleModel
 from ifmsim.sweep import SweepRecord
 
@@ -25,9 +24,18 @@ from ifmsim.sweep import SweepRecord
 def _reference_config(model, a, n, theta=None):
     """The checks of the generated ``__init__`` plus ``__post_init__`` that CycleConfig replaced."""
     model = ParticleModel(model)
-    n = operators._check_count(n, 1, "cycle count n must be a positive integer")
-    a = operators._check_probability(a)
-    a = 0.0 if model is ParticleModel.ABSENT else a
+    count_message = "cycle count n must be a positive integer"
+    try:
+        count = int(n)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(count_message) from None
+    if count != n or count < 1:
+        raise ValueError(count_message)
+    n = count
+    p = float(a)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"absorption probability must be in [0, 1], got {a!r}")
+    a = 0.0 if model is ParticleModel.ABSENT else p
     if theta is not None:
         t = float(theta)
         if not math.isfinite(t):

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -288,6 +289,30 @@ class TestStackedConstructors:
         for arg in (np.array([0.2, bad, 0.7, -5.0]), bad):
             with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
                 absorption(arg)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no limit on int-to-str conversion"
+    )
+    def test_message_text_does_not_follow_the_interpreters_digit_limit(self):
+        # an int of up to 4,300 digits is written out, a longer one counted
+        texts = {
+            10**1000: repr(10**1000),
+            -(10**4299): repr(-(10**4299)),
+            10**4300: "an int of 4301 digits",
+            -(10**5000): "an int of 5001 digits",
+        }
+        default = sys.get_int_max_str_digits()
+        for limit in (640, 0, default):  # 0 lifts the limit
+            sys.set_int_max_str_digits(limit)
+            try:
+                for value, text in texts.items():
+                    message = f"absorption probability must be in [0, 1], got {text}"
+                    for arg in (value, [0.5, value]):
+                        with pytest.raises(ValueError) as err:
+                            absorption(arg)
+                        assert str(err.value) == message
+            finally:
+                sys.set_int_max_str_digits(default)
 
     EIGEN_THETAS = np.concatenate(
         [[0.0, -0.0, np.pi / 2, np.pi, 1e-300, -1e-300], THETAS.ravel()]

@@ -309,6 +309,11 @@ class TestSweepRecord:
             ({"theta": 10**400}, "theta must be finite, got 1000"),
             ({"theta": -(10**400)}, "theta must be finite, got -1000"),
             ({"theta": 2**1024 - 2**970}, "theta must be finite, got 1797"),
+            # an int past 4,300 digits is counted, not written out
+            ({"a": 10**5000}, "a must be in [0, 1], got an int of 5001 digits"),
+            ({"theta": 10**5000}, "theta must be finite, got an int of 5001 digits"),
+            ({"theta": -(10**5000)}, "theta must be finite, got an int of 5001 digits"),
+            ({"p_h": -(10**5000)}, "p_h must be >= 0, got an int of 5001 digits"),
             ({"p_h": 10**400}, "probabilities must sum to 1, got inf"),
             ({"p_b": 10**400}, "probabilities must sum to 1, got inf"),
             (dict.fromkeys(["p_h", "p_v", "p_b"], 2**1023), "probabilities must sum to 1, got inf"),
