@@ -137,9 +137,24 @@ class Probabilities(NamedTuple):
     p_b: float
 
 
-# ParticleModel members and their string values, each to its member: the
-# common inputs skip the Enum call, and anything else still reaches it.
+# ParticleModel members and their string values, each to its member
 _MODELS = {**{m: m for m in ParticleModel}, **{m.value: m for m in ParticleModel}}
+
+
+def _model(model) -> ParticleModel:
+    """`model` as a ParticleModel: a member or its string value.
+
+    Anything else raises the Enum's ValueError text, "'bogus' is not a valid
+    ParticleModel", with the value shown as `operators._text` shows it.
+    """
+    try:
+        m = _MODELS.get(model)
+    except TypeError:  # unhashable, a list say
+        m = None
+    if m is None:
+        raise ValueError(f"{operators._text(model)} is not a valid ParticleModel")
+    return m
+
 
 _setattr = object.__setattr__
 
@@ -168,12 +183,7 @@ class CycleConfig:
 
     def __init__(self, model: ParticleModel, a: float, n: int, theta: float | None = None) -> None:
         # Checked in the order model, n, a, theta; each field is set once.
-        try:
-            m = _MODELS.get(model)
-        except TypeError:
-            m = None
-        if m is None:
-            m = ParticleModel(model)
+        m = _model(model)
         n = operators._count(n, 1, "cycle count n must be a positive integer")
         a = operators._probability(a)
         if theta is not None:
@@ -440,7 +450,7 @@ def kraus_operators(model: ParticleModel, theta, a) -> list[np.ndarray]:
     scalar call.  A scalar call gives (3, 3) matrices through the same
     code.  Every returned array is fresh and writable.
     """
-    model = ParticleModel(model)
+    model = _model(model)
     # checked for every model, as CycleConfig does
     av = np.asarray(operators._probability(a, array=True))
     a_eff = np.zeros_like(av) if model is ParticleModel.ABSENT else av

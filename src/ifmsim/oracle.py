@@ -33,6 +33,16 @@ norm_err[k], the running norm check; entry 0 is the starting |H>.  A
 coherent trajectory carries only its key; a collapse trajectory carries its
 stream position (key and draw counter in one word, key + (j+1)*PHI for its
 next draw j) and its table index k.
+
+The coherent kernel works in rounds.  A round draws B = max(1, _ROUND //
+keys held) consecutive cycles for every key it holds, as one (B, keys)
+array, cycles outer: a full chunk runs one cycle a round, and 1,000 keys
+run 32.  It settles each draw from SplitMix64's word w, the finalizer's
+state before its last xor-shift.  That shift, mix64 = w ^ (w >> 31), keeps
+w's top 31 bits, so a draw below a cut c needs w < hi(c) = ceil(c / 2**22)
+* 2**33, and only those rare candidate words finish the mix and take the
+exact comparison.  Outcomes are those of the draw-by-draw order above.
+
 estimate() streams trajectory indices through the kernels in fixed-size
 chunks and sums their counts, so memory stays bounded however many
 trajectories are asked for.  A chunk is 2**15 trajectories, so that a
@@ -78,6 +88,28 @@ _KEY = "key must be an integer in [0, 2^64)"
 # collapse chunk in L2 (module docstring) and still runs each of verify's
 # 20,000-trajectory cells as one chunk.
 _CHUNK = 1 << 15
+# Draws per round of the coherent kernel (see _run_coherent); results do
+# not depend on it either.
+_ROUND = 1 << 15
+
+
+def _word(
+    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """SplitMix64's finalizer up to its last xor-shift: the word w, mix64 = w ^ (w >> 31).
+
+    That shift keeps w's top 31 bits, so mix64 >> 33 == w >> 33.  Writes w
+    into `out` (in place, into x, when out is None) and returns it;
+    `scratch`, a uint64 array of x's size, holds the shifted words (a call
+    without it allocates it).
+    """
+    t = np.right_shift(x, np.uint64(30), out=scratch)
+    x = np.bitwise_xor(x, t, out=x if out is None else out)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(x, np.uint64(27), out=t)
+    x ^= t
+    x *= np.uint64(0x94D049BB133111EB)
+    return x
 
 
 def _mix64(
@@ -89,14 +121,9 @@ def _mix64(
     `scratch`, a uint64 array of x's size, holds the shifted words; a call
     that passes it allocates nothing, and one that does not allocates it.
     """
-    t = np.right_shift(x, np.uint64(30), out=scratch)
-    x = np.bitwise_xor(x, t, out=x if out is None else out)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    np.right_shift(x, np.uint64(27), out=t)
-    x ^= t
-    x *= np.uint64(0x94D049BB133111EB)
-    np.right_shift(x, np.uint64(31), out=t)
-    x ^= t
+    scratch = np.empty_like(x) if scratch is None else scratch
+    x = _word(x, out, scratch)
+    x ^= np.right_shift(x, np.uint64(31), out=scratch)
     return x
 
 
@@ -115,7 +142,8 @@ def _keys_for(seed: int, indices: np.ndarray) -> np.ndarray:
 def trajectory_keys(seed: int, count: int) -> np.ndarray:
     """Stream keys for trajectories 0..count-1 of `seed`, as a uint64 array."""
     seed = _count(seed, 0, _SEED, _U64_MAX, _SEED)
-    count = _count(count, 1, "count must be >= 1")
+    # 2^64 trajectories hold every uint64 index once
+    count = _count(count, 1, "count must be >= 1", 2**64, "count must be at most 2^64")
     return _keys_for(seed, np.arange(count, dtype=np.uint64))
 
 
@@ -229,39 +257,66 @@ def _run_coherent(keys: np.ndarray, n: int, table: _Table):
 
     Every trajectory starts in |H> and sees the same unitary each cycle, so
     all survivors of cycle j share one renormalized amplitude and have drawn
-    exactly j draws.  Per-trajectory state is therefore just the key:
-    cycle j keeps the keys whose draw j is >= table.cut_b[j], and draw n
-    splits the survivors into V (below table.cut_v[-1]) and H.  Returns
-    (counts, max |norm^2 - 1| over the amplitudes survivors held), which is
-    table.norm_err[c] when the last survivors saw c cycles.
+    exactly j draws.  Per-trajectory state is therefore just the key: a key
+    is absorbed at its first cycle j whose draw is below table.cut_b[j], and
+    draw n splits the survivors into V (below table.cut_v[-1]) and H.
+
+    Each round draws B = max(1, _ROUND // size) consecutive cycles for the
+    `size` keys the kernel holds, as one (B, size) array, cycles outer, so
+    every ufunc runs over whole rows of keys; a full chunk runs one cycle a
+    round.  A draw is settled from its word w (see _word): since mix64
+    keeps w's top 31 bits, a draw below cut c needs w < hi(c) =
+    ceil(c / 2**22) * 2**33, and only those rare candidate words finish the
+    mix for the exact test.  Returns (counts, max |norm^2 - 1| over the
+    amplitudes survivors held), which is table.norm_err[c] when the last
+    survivors saw c cycles.
     """
     m = keys.shape[0]
-    offsets = (np.arange(n + 1, dtype=np.uint64) + np.uint64(1)) * _PHI
-    # every cycle draws into buf and compares into mask, allocating nothing
-    buf, tmp = np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64)
-    mask = np.empty(m, dtype=bool)
+    # a cut of 0 absorbs nothing, so only the other cycles draw; the offset
+    # of the final draw n rides along as the last
+    cycles = np.flatnonzero(table.cut_b)
+    cut = table.cut_b[cycles]
+    offsets = (np.append(cycles, n) + 1).astype(np.uint64) * _PHI
+    # hi(c) - 1, which wraps to 2**64 - 1 where c > 2**53 - 2**22 makes hi(c) 2**64
+    top = ((cut + np.uint64(2**22 - 1)) >> np.uint64(22) << np.uint64(33)) - np.uint64(1)
+    # every round draws into buf and compares into mask, allocating nothing
+    cap = max(m, _ROUND)
+    buf, tmp, mask = np.empty(cap, np.uint64), np.empty(cap, np.uint64), np.empty(cap, bool)
     # absorbed keys stay in place, masked, until they are half of the array,
-    # so a cycle that absorbs a few keys does not copy all the others
+    # so a round that absorbs a few keys does not copy all the others
     alive = np.ones(m, dtype=bool)
-    live = m
-
-    def draws(j):
+    live, i, last = m, 0, len(table.cut_b)
+    while live and i < cut.shape[0]:
         size = keys.shape[0]
-        return _draw53(np.add(keys, offsets[j], out=buf[:size]), scratch=tmp[:size])
-
-    survived = -1
-    for j, cut in enumerate(table.cut_b):
-        if cut:  # every draw is >= 0
-            alive &= np.greater_equal(draws(j), cut, out=mask[: keys.shape[0]])
-            live = int(np.count_nonzero(alive))
-            if 2 * live < keys.shape[0]:
-                keys, alive = keys[alive], alive[alive]
-        if not live:
-            break
-        survived = j
-    is_v = np.less(draws(n), table.cut_v[-1], out=mask[: keys.shape[0]])
+        b = min(max(1, _ROUND // size), cut.shape[0] - i)
+        # a round of one cycle stays one-dimensional
+        at, shape = (i, size) if b == 1 else (np.s_[i : i + b, None], (b, size))
+        w = np.add(keys, offsets[at], out=buf[: b * size].reshape(shape))
+        _word(w, scratch=tmp[: b * size].reshape(shape))
+        cand = np.less_equal(w, top[at], out=mask[: b * size].reshape(shape))
+        cand &= alive
+        idx = np.flatnonzero(cand)  # a 2-D nonzero took 11 times as long
+        if idx.shape[0]:
+            row, col = (0, idx) if b == 1 else np.divmod(idx, size)
+            x = w.take(idx)
+            x ^= x >> np.uint64(31)
+            hit = (x >> np.uint64(11)) < cut[i + row]
+            col = col[hit]
+            if col.shape[0]:
+                alive[col] = False
+                # a key is a column, at most once a row
+                live = live - col.shape[0] if b == 1 else int(np.count_nonzero(alive))
+                if not live:  # the cycle of the round's last key to die
+                    r = row[hit][np.unique(col, return_index=True)[1]].max() if b > 1 else 0
+                    last = int(cycles[i + r])
+                elif 2 * live < size:
+                    keys, alive = keys[alive], alive[alive]
+        i += b
+    size = keys.shape[0]
+    draw = _draw53(np.add(keys, offsets[-1], out=buf[:size]), scratch=tmp[:size])
+    is_v = np.less(draw, table.cut_v[-1], out=mask[:size])
     n_v = np.count_nonzero(np.logical_and(is_v, alive, out=is_v))
-    return np.array([live - n_v, n_v, m - live]), float(table.norm_err[survived + 1])
+    return np.array([live - n_v, n_v, m - live]), float(table.norm_err[last])
 
 
 def _run_collapse(keys: np.ndarray, n: int, cut_a: np.uint64, table: _Table):

@@ -270,8 +270,8 @@ FLOAT_LIMIT = "no larger than 1.7976931348623157e+308"
 HUGE_COUNT_OUTCOMES = {
     "CycleConfig.n": None,
     "TrajectoryConfig.trajectories": None,
-    # the count has no limit of its own, and numpy's arange refuses it
-    "trajectory_keys.count": (ValueError, "Maximum allowed size exceeded"),
+    # 2^64 counts every uint64 index once
+    "trajectory_keys.count": (ValueError, "count must be at most 2^64"),
     **{site: (ValueError, f"{COUNT_SITES[site][1]} {FLOAT_LIMIT}") for site in FLOAT_COUNT_SITES},
     # the switching angle of a CycleConfig that accepted the count
     "sweep_absorption.n": (ValueError, f"cycle count must be a positive integer {FLOAT_LIMIT}"),
@@ -353,6 +353,25 @@ def test_angle_edge_inputs(site, form, name):
     none = None if site in AUTO_ANGLE_SITES else NOT_A_NUMBER
     expected = {"None": none, "'x'": NOT_NUMERIC, "'1'": None}.get(name, (ValueError, message))
     _assert_outcome(call, form, 0.3, EDGE_INPUTS[name], expected)
+
+
+# (entry point taking a particle model)
+MODEL_SITES = {
+    "CycleConfig.model": lambda v: CycleConfig(model=v, a=0.5, n=3),
+    "kraus_operators.model": lambda v: kraus_operators(v, 0.3, 0.5),
+    "sweep_cycles.model": lambda v: sweep_cycles(0.5, 3, v),
+}
+
+
+@pytest.mark.parametrize("name", [*EDGE_INPUTS, "'bogus'", "[1]"])
+@pytest.mark.parametrize("site", sorted(MODEL_SITES))
+def test_model_edge_inputs(site, name):
+    # the Enum's own text, with an int of more than 4,300 digits shown by size
+    value = {"'bogus'": "bogus", "[1]": [1]}.get(name, EDGE_INPUTS.get(name))
+    text = "an int of 5001 digits" if name == "10**5000" else repr(value)
+    message = f"{text} is not a valid ParticleModel"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        MODEL_SITES[site](value)
 
 
 class _NoNumpy:

@@ -102,6 +102,8 @@ PINNED_STDOUT = {
     # digits, rounded down) and 0.0023000000000000 (a carry, padded)
     "oracle --cycles 50 --absorption 0.5 --trajectories 10000 --model collapse": "830b2efc426a",
     "oracle --cycles 50 --absorption 0.5 --trajectories 10000 --model coherent": "60e75e474967",
+    # many cycles over few trajectories: the coherent kernel's rounds of 32 cycles
+    "oracle --model coherent --absorption 0.001 --cycles 100000 --trajectories 1000": "5a08d4d4319c",
     "verify": "74e1f84e219f",
 }
 
@@ -487,7 +489,7 @@ def test_workflow_jobs_and_hash_checks_parse():
     assert {"test", "minimal"} <= set(jobs)
     (step,) = [s for s in jobs["test"]["steps"] if s.get("name") == "Large sweeps keep their bytes"]
     checks = [line.split() for line in step["run"].splitlines() if line.lstrip().startswith("check ")]
-    assert len(checks) == 5
+    assert len(checks) == 6
     for _, digest, *argv in checks:
         assert len(digest) == 12 and int(digest, 16) >= 0
         assert cli.build_parser().parse_args(argv).func

@@ -77,6 +77,11 @@ class TestStreams:
         with pytest.raises(ValueError, match=">= 1"):
             trajectory_keys(0, 0)
 
+    def test_rejects_more_keys_than_indices(self):
+        # one past 2^64, the number of distinct uint64 indices
+        with pytest.raises(ValueError, match="^count must be at most 2\\^64$"):
+            trajectory_keys(0, 2**64 + 1)
+
 
 class TestTrajectoryConfig:
     def test_rejects_zero_trajectories(self):
@@ -213,6 +218,24 @@ class TestChunking:
             results.append(estimate(tc))
         assert all(r == results[0] for r in results[1:])
         assert results[0].max_norm_error > 0.0  # the norm check is exercised
+
+    @pytest.mark.parametrize(
+        "model,a,n,theta,trajectories",
+        [("coherent", 0.5, 12, None, 1000), ("collapse", 0.5, 12, None, 1000),
+         ("coherent", 0.3, 40, 2.5, 1000), ("collapse", 0.75, 40, 2.5, 1000),
+         ("coherent", 0.001, 20_000, None, 500)],
+    )
+    def test_estimate_is_round_invariant(self, monkeypatch, model, a, n, theta, trajectories):
+        # the coherent kernel's draws per round: one cycle a round up to a
+        # round of all the cycles
+        cycle = _cfg(model, a, n, theta)
+        tc = TrajectoryConfig(cycle=cycle, trajectories=trajectories, seed=11)
+        results = []
+        for budget in (1, 3, 64, 2**15):
+            monkeypatch.setattr(oracle, "_ROUND", budget)
+            results.append(estimate(tc))
+        assert all(r == results[0] for r in results[1:])
+        assert results[0].max_norm_error > 0.0
 
     def test_memory_does_not_grow_with_trajectories(self):
         def peak(trajectories):

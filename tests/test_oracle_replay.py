@@ -12,8 +12,10 @@ with probability about 2**-53 per draw.
 import math
 from itertools import islice
 
+import numpy as np
 import pytest
 
+from ifmsim import oracle
 from ifmsim.evolution import CycleConfig, ParticleModel
 from ifmsim.oracle import TrajectoryConfig, _Stream, estimate
 
@@ -115,3 +117,63 @@ def test_seeded_stream_replays_trajectory_zero(seed):
     stream = _Stream(seed)
     got = [*stream.random(1), *stream.random(0), *stream.random(40), *stream.random(159)]
     assert got == list(islice(_stream(seed, 0), 200))
+
+
+
+def _unxorshift(y, shift):
+    """The x with x ^ (x >> shift) == y."""
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unword(w):
+    """The x whose SplitMix64 word is w: mix64(x) == w ^ (w >> 31).
+
+    Both odd multipliers are invertible mod 2**64, and so is each xor-shift.
+    """
+    x = (w * pow(0x94D049BB133111EB, -1, 2**64)) & _MASK
+    x = (_unxorshift(x, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & _MASK
+    return _unxorshift(x, 30)
+
+
+# cuts at both edges of a step of hi(c) = ceil(c / 2**22) * 2**33, and at the
+# top, where hi(c) reaches 2**64
+BUCKET_CUTS = [
+    1, 2**22 - 1, 2**22, 2**22 + 1, 2**52, 2**53 - 2**22, 2**53 - 2**22 + 1, 2**53 - 1, 2**53
+]
+
+
+@pytest.mark.parametrize("budget", [1, 2**15], ids=["rounds of one cycle", "one round"])
+@pytest.mark.parametrize("cut", BUCKET_CUTS)
+def test_words_at_the_candidate_bucket_settle_as_full_draws(monkeypatch, budget, cut):
+    # The coherent kernel finishes the mix only for a word below hi(c): a
+    # draw reaches that bucket with probability ~2**-31, so random keys never
+    # test its edges.  These keys put cycle 1's word at the edges and inside
+    # it, and each outcome is replayed from full draws.  Cycle 0's cut of 1
+    # lets almost every key reach cycle 1.
+    hi = -(-cut // 2**22) * 2**33
+    words = [hi - 2**33 - 1, hi - 2**33, cut * 2**11 - 1, cut * 2**11, hi - 1, hi]
+    words = [w & _MASK for w in words]
+    keys = [(_unword(w) - 2 * _PHI) & _MASK for w in words]
+    assert [_mix64((k + 2 * _PHI) & _MASK) for k in keys] == [w ^ (w >> 31) for w in words]
+    cuts, cut_v = [1, cut, cut], 2**52
+    table = oracle._Table(
+        cut_b=np.array(cuts, dtype=np.uint64),
+        cut_v=np.array([cut_v], dtype=np.uint64),
+        norm_err=np.zeros(len(cuts) + 1),
+    )
+    monkeypatch.setattr(oracle, "_ROUND", budget)
+    expected = [0, 0, 0]
+    for key in keys:
+        draws = [_mix64((key + (j + 1) * _PHI) & _MASK) >> 11 for j in range(len(cuts) + 1)]
+        if any(d < c for d, c in zip(draws, cuts)):
+            outcome = 2
+        else:
+            outcome = 1 if draws[-1] < cut_v else 0
+        expected[outcome] += 1
+        counts, _ = oracle._run_coherent(np.array([key], dtype=np.uint64), len(cuts), table)
+        assert counts.tolist() == [int(i == outcome) for i in range(3)], hex(key)
+    counts, _ = oracle._run_coherent(np.array(keys, dtype=np.uint64), len(cuts), table)
+    assert counts.tolist() == expected
